@@ -4,13 +4,16 @@
 // Usage:
 //
 //	schub serve -addr 127.0.0.1:7443 [-autobuild]
-//	schub push -hub http://127.0.0.1:7443 -collection pepa-containers -image pepa.scif [-layered]
-//	schub pull -hub http://127.0.0.1:7443 -collection pepa-containers -name pepa -tag latest -o pepa.scif [-layered]
+//	schub push -hub http://127.0.0.1:7443 -collection pepa-containers -image pepa.scif
+//	schub pull -hub http://127.0.0.1:7443 -collection pepa-containers -name pepa -tag latest -o pepa.scif
 //	schub list -hub http://127.0.0.1:7443 -collection pepa-containers
 //	schub build -hub http://127.0.0.1:7443 -collection pepa-containers -name pepa -tag v1 -recipe pepa.def
 //	schub cluster status -peers a=http://h1:7443,b=http://h2:7443
 //	schub cluster rebalance -peers ... [-replication 2]
 //	schub cluster deliver -peers ... -peer b
+//
+// Push and pull move images as a manifest plus the layers the other side
+// lacks, so re-pushing a rebuilt image uploads only its changed layers.
 //
 // With -autobuild the server builds pushed recipes itself on the CentOS
 // build-host profile (Singularity-Hub's model); the build subcommand is
@@ -71,7 +74,6 @@ func run() error {
 	tag := fs.String("tag", "latest", "tag")
 	out := fs.String("o", "", "output path (pull)")
 	digest := fs.String("digest", "", "expected digest (pull)")
-	layered := fs.Bool("layered", false, "push/pull: transfer by layer digest, moving only layers the other side is missing")
 	autobuild := fs.Bool("autobuild", false, "serve: build pushed recipes server-side")
 	recipePath := fs.String("recipe", "", "build: definition file to submit")
 	statePath := fs.String("state", "", "serve: persist the registry to this directory (loaded on start, saved on shutdown)")
@@ -239,21 +241,11 @@ func run() error {
 				img.Ref(), cl.Replication(), len(cl.PeerNames()), cl.Replication(), d)
 			return nil
 		}
-		c := client()
-		var d string
-		if *layered {
-			d, err = c.PushLayered(*collection, img)
-		} else {
-			d, err = c.Push(*collection, img)
-		}
+		d, err := client().Push(*collection, img)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("pushed %s to %s/%s\ndigest: %s\n", img.Ref(), *hubURL, *collection, d)
-		if *layered {
-			fmt.Printf("layers transferred: %d of %d (rest already on the hub)\n",
-				len(c.AttemptsMatching("pushlayer ")), len(img.Layers))
-		}
 		return nil
 	case "pull":
 		if *name == "" {
@@ -272,12 +264,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			var blob []byte
-			if img.Layered() {
-				blob, err = img.MarshalLayered()
-			} else {
-				blob, err = img.Marshal()
-			}
+			blob, err := img.MarshalLayered()
 			if err != nil {
 				return err
 			}
@@ -287,34 +274,9 @@ func run() error {
 			fmt.Printf("pulled %s:%s (digest %s) to %s\n", *name, *tag, d, target)
 			return nil
 		}
-		if *layered {
-			// Layer-negotiated pull: only layers absent from the client's
-			// cache cross the wire; monolithic entries fall back to the
-			// legacy pull transparently.
-			c := client()
-			img, d, err := c.PullLayered(*collection, *name, *tag, *digest)
-			if err != nil {
-				return err
-			}
-			var blob []byte
-			if img.Layered() {
-				blob, err = img.MarshalLayered()
-			} else {
-				blob, err = img.Marshal()
-			}
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(target, blob, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("pulled %s:%s (digest %s) to %s\n", *name, *tag, d, target)
-			fmt.Printf("layers transferred: %d of %d\n",
-				len(c.AttemptsMatching("pulllayer ")), len(img.Layers))
-			return nil
-		}
-		// PullToFile spools verified chunks next to the target, so an
-		// interrupted pull resumes from the last good offset on rerun.
+		// PullToFile spools each layer's verified chunks next to the
+		// target, so an interrupted pull resumes from the last good offset
+		// on rerun.
 		d, err := client().PullToFile(*collection, *name, *tag, *digest, target)
 		if err != nil {
 			return err

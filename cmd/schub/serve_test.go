@@ -115,8 +115,8 @@ func TestServeDurableLifecycle(t *testing.T) {
 	if report.SnapshotEntries != 1 {
 		t.Errorf("snapshot entries = %d, want 1", report.SnapshotEntries)
 	}
-	if _, _, ok := reopened.Get("cc", "pepa", "latest"); !ok {
-		t.Error("entry lost across serve lifecycle")
+	if entries := reopened.List("cc"); len(entries) != 1 || entries[0].Container != "pepa" || entries[0].Tag != "latest" {
+		t.Errorf("entry lost across serve lifecycle: %+v", entries)
 	}
 }
 

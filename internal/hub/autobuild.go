@@ -55,7 +55,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("build failed: %v", err), http.StatusUnprocessableEntity)
 		return
 	}
-	blob, err := img.Marshal()
+	blob, err := img.MarshalLayered()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -82,7 +82,7 @@ func TestChaosCrashMidJournalRecoversByteIdentical(t *testing.T) {
 }
 
 // TestChaosTruncateMidChunkResumeIsDeterministic: a fault plan truncates
-// the first two blob GETs mid-body. The client must resume from the last
+// the first two layer GETs mid-body. The client must resume from the last
 // verified chunk boundary — and because the plan is seeded, two
 // independent runs must produce identical attempt logs.
 func TestChaosTruncateMidChunkResumeIsDeterministic(t *testing.T) {
@@ -97,7 +97,7 @@ func TestChaosTruncateMidChunkResumeIsDeterministic(t *testing.T) {
 		srv := NewServer(store)
 		srv.ChunkSize = 1024
 		srv.EnableFaults(faultinject.NewPlan(33,
-			faultinject.Rule{Match: "GET /v1/chaos/pepa", Kind: faultinject.KindTruncate, First: 2},
+			faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 2},
 		))
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -127,8 +127,8 @@ func TestChaosTruncateMidChunkResumeIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosBitRotQuarantineAndRepair: flipping one stored byte must
-// quarantine exactly that entry; pulling it fails fast (410 is
+// TestChaosBitRotQuarantineAndRepair: flipping one stored bit must
+// quarantine exactly that entry's layer; pulling it fails fast (410 is
 // deterministic — one attempt, no retries), siblings keep serving, and
 // a re-push repairs the entry in place.
 func TestChaosBitRotQuarantineAndRepair(t *testing.T) {
@@ -141,11 +141,11 @@ func TestChaosBitRotQuarantineAndRepair(t *testing.T) {
 		}
 		digests[n] = d
 	}
-	corruptStoredBlob(t, store, "chaos", "beta", "v1", "beta-payload")
+	rotted := rot(t, store, "chaos", "beta", "v1")
 
 	report := store.ScrubOnce(nil)
-	if report.Corrupt != 1 || len(report.Quarantined) != 1 || report.Quarantined[0] != "chaos/beta:v1" {
-		t.Fatalf("scrub report = %+v, want exactly chaos/beta:v1 quarantined", report)
+	if report.Corrupt != 1 || len(report.Quarantined) != 1 || report.Quarantined[0] != rotted {
+		t.Fatalf("scrub report = %+v, want exactly chaos/beta:v1's layer %s quarantined", report, rotted)
 	}
 
 	ts := httptest.NewServer(NewServer(store).Handler())

@@ -102,10 +102,11 @@ func TestChaosTruncatedPullRetries(t *testing.T) {
 }
 
 // TestChaosPushListUnderFaults exercises the other verbs: a 503 on the
-// push and a truncated list response, both retried to success.
+// push's manifest commit and a truncated list response, both retried to
+// success.
 func TestChaosPushListUnderFaults(t *testing.T) {
 	plan := faultinject.NewPlan(3,
-		faultinject.Rule{Match: "PUT /v1/", Kind: faultinject.KindStatus, Status: 503, First: 1},
+		faultinject.Rule{Match: "PUT /v1/chaos/", Kind: faultinject.KindStatus, Status: 503, First: 1},
 		faultinject.Rule{Match: "GET /v1/chaos", Kind: faultinject.KindTruncate, First: 1},
 	)
 	url := faultyServer(t, plan)
@@ -186,6 +187,48 @@ func TestChaosDoubleCorruptionGivesUp(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(log, "\n"), "corrupt again; giving up") {
 		t.Errorf("second corruption not terminal:\n%s", strings.Join(log, "\n"))
+	}
+}
+
+// TestChaosCorruptTransferRetriesOnce: a bit flipped in the body of a
+// manifest GET or of a layer GET is caught by the chunk digests, and the
+// fetch is re-pulled exactly once — a corrupt manifest retries just as a
+// corrupt layer does, wherever the flip lands (the bit is drawn from
+// the plan seed).
+func TestChaosCorruptTransferRetriesOnce(t *testing.T) {
+	blob, err := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver").MarshalLayered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, match, op string }{
+		{"manifest", "GET /v1/chaos/", "pull chaos/pepa:latest attempt"},
+		{"layer", "GET /v1/_layers/", "pulllayer "},
+	} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				store := NewStore()
+				digest, err := store.Put("chaos", "pepa", "latest", blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(NewServer(store).Handler())
+				defer ts.Close()
+				plan := faultinject.NewPlan(seed, faultinject.Rule{Match: tc.match, Kind: faultinject.KindCorrupt, First: 1})
+				c := NewClientWithOptions(ts.URL, chaosOptions(4))
+				c.HTTP.Transport = plan.Transport(nil)
+				if _, got, err := c.Pull("chaos", "pepa", "latest", digest); err != nil {
+					t.Fatalf("pull did not converge: %v\n%s", err, strings.Join(c.AttemptLog(), "\n"))
+				} else if got != digest {
+					t.Errorf("digest = %s, want %s", got, digest)
+				}
+				log := strings.Join(c.AttemptsMatching(tc.op), "\n")
+				for _, want := range []string{"attempt 1/4: corrupt response (re-pulling once)", "attempt 2/4: ok"} {
+					if !strings.Contains(log, want) {
+						t.Errorf("attempt log missing %q:\n%s", want, log)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -372,7 +415,7 @@ func TestUploadCapEnforced(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/coll/pepa/latest", "application/octet-stream",
+	resp, err := http.Post(ts.URL+"/v1/coll/pepa/latest/manifest", "application/json",
 		bytes.NewReader(make([]byte, 200)))
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +429,10 @@ func TestUploadCapEnforced(t *testing.T) {
 	if _, err := c.Push("coll", testImage("pepa", "latest", strings.Repeat("x", 500))); err == nil {
 		t.Fatal("oversized push succeeded")
 	}
-	log := c.AttemptsMatching("push coll/pepa:latest attempt")
-	if len(log) != 1 {
+	// The push's first request (layer negotiation) is already over the
+	// cap: one attempt, given up as deterministic.
+	log := c.AttemptsMatching(" attempt ")
+	if len(log) != 1 || !strings.Contains(log[0], "HTTP 413 (deterministic; giving up)") {
 		t.Errorf("413 push was retried:\n%s", strings.Join(log, "\n"))
 	}
 }

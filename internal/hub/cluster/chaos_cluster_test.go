@@ -43,7 +43,7 @@ func runKilledReplicaScenario(t *testing.T) (pulledBytes []byte, wantBytes []byt
 	}
 	reg := obs.NewRegistry()
 	reader, err := New(Options{
-		Peers: peers, Replication: 3, Seed: 1, Obs: reg, Client: chaosClientOptions(2),
+		Peers: peers, Replication: 3, Obs: reg, Client: chaosClientOptions(2),
 		TransportFor: func(p string) http.RoundTripper { return plan.TransportFor(p, nil) },
 	})
 	if err != nil {

@@ -1,10 +1,10 @@
 // Package cluster turns N independent hub replicas into one replicated,
-// self-healing registry: blobs and layers are placed on R of the peers
+// self-healing registry: images are placed on R of the peers
 // by rendezvous hashing of their content digests, writes fan out to all
 // owners and degrade to journaled hinted handoff when an owner is down,
 // reads fail over between owners and repair replicas found missing or
 // quarantined, and peer rejoin streams back only the hinted or missing
-// layers (layer negotiation + resumable chunked pulls, PRs 6 and 8).
+// layers (layer negotiation + resumable chunked pulls).
 // Everything is deterministic under the faultinject harness: peer
 // probing order, placement, and the decision log all derive from peer
 // names and content digests, never from addresses, ports, or map order.
@@ -16,11 +16,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/hub"
 	"repro/internal/obs"
-	"repro/internal/rng"
 )
 
 // Peer names one cluster member: a stable name (used for placement,
@@ -63,8 +61,6 @@ type Options struct {
 	// Replication is R, the number of owners per content key (default 2,
 	// capped at the peer count).
 	Replication int
-	// Seed drives the probe-loop jitter (default 1).
-	Seed uint64
 	// Obs receives hub_cluster_* metrics and the per-peer client series.
 	Obs *obs.Registry
 	// Client is the base resilience configuration for the per-peer hub
@@ -98,19 +94,15 @@ func (p *peer) isUp() bool {
 // the decision log is byte-stable only for serial operation sequences
 // (which is what the chaos tests run).
 type Cluster struct {
-	pmu    sync.Mutex
-	peers  []*peer // configured order
-	r      int
-	obs    *obs.Registry
-	cache  *hub.LayerCache
-	opts   Options
-	jitter *rng.Source
+	pmu   sync.Mutex
+	peers []*peer // configured order
+	r     int
+	obs   *obs.Registry
+	cache *hub.LayerCache
+	opts  Options
 
 	logMu sync.Mutex
 	log   []string
-
-	probeStop chan struct{}
-	probeDone chan struct{}
 }
 
 // New builds a cluster client over the peer list. Peers start optimistic
@@ -126,15 +118,11 @@ func New(opts Options) (*Cluster, error) {
 	if r > len(opts.Peers) {
 		r = len(opts.Peers)
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	cache := opts.Client.LayerCache
 	if cache == nil {
 		cache = hub.NewLayerCache()
 	}
-	cl := &Cluster{r: r, obs: opts.Obs, cache: cache, opts: opts, jitter: rng.New(seed)}
+	cl := &Cluster{r: r, obs: opts.Obs, cache: cache, opts: opts}
 	seen := map[string]bool{}
 	for _, p := range opts.Peers {
 		if p.Name == "" || p.URL == "" {
@@ -303,41 +291,6 @@ func (cl *Cluster) ProbeOnce() []PeerStatus {
 		out = append(out, ps)
 	}
 	return out
-}
-
-// StartProbing runs ProbeOnce on a jittered interval (factor in
-// [0.75, 1.25) from the cluster seed, so a fleet of routers does not
-// probe in lockstep). Stop with StopProbing.
-func (cl *Cluster) StartProbing(interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	cl.probeStop = make(chan struct{})
-	cl.probeDone = make(chan struct{})
-	go func() {
-		defer close(cl.probeDone)
-		for {
-			u := cl.jitter.Float64()
-			timer := time.NewTimer(time.Duration(float64(interval) * (0.75 + 0.5*u)))
-			select {
-			case <-cl.probeStop:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			cl.ProbeOnce()
-		}
-	}()
-}
-
-// StopProbing halts the background probe loop.
-func (cl *Cluster) StopProbing() {
-	if cl.probeStop == nil {
-		return
-	}
-	close(cl.probeStop)
-	<-cl.probeDone
-	cl.probeStop, cl.probeDone = nil, nil
 }
 
 // describeClass renders an error as a short stable phrase for the

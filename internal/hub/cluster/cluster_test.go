@@ -90,7 +90,7 @@ func newHarness(t *testing.T, names []string, r int, serverPlan, clientPlan *fau
 		h.urls[n] = ts.URL
 		peers = append(peers, Peer{Name: n, URL: ts.URL})
 	}
-	opts := Options{Peers: peers, Replication: r, Seed: 1, Obs: h.reg, Client: chaosClientOptions(attempts)}
+	opts := Options{Peers: peers, Replication: r, Obs: h.reg, Client: chaosClientOptions(attempts)}
 	if clientPlan != nil {
 		opts.TransportFor = func(peer string) http.RoundTripper { return clientPlan.TransportFor(peer, nil) }
 	}

@@ -71,7 +71,7 @@ func (cl *Cluster) Push(coll string, img *image.Image) (string, error) {
 			deferred = append(deferred, o)
 			continue
 		}
-		if _, err := p.client.PushLayered(coll, img); err != nil {
+		if _, err := p.client.Push(coll, img); err != nil {
 			cl.obs.Inc("hub_cluster_replica_writes_total", obs.L("peer", o), obs.L("outcome", "error"))
 			if hub.Classify(err) == hub.ClassDeterministic {
 				// A coherent rejection (malformed image, oversized upload)
@@ -120,7 +120,7 @@ func (cl *Cluster) handoff(ranked []string, owner, coll string, img *image.Image
 			continue
 		}
 		if !written[cand] {
-			if _, err := p.client.PushLayered(coll, img); err != nil {
+			if _, err := p.client.Push(coll, img); err != nil {
 				if isDownError(err) {
 					cl.setUp(p, false, "handoff push failed: "+describeClass(err))
 				}
@@ -167,7 +167,7 @@ func (cl *Cluster) Pull(coll, name, tag, expectedDigest string) (*image.Image, s
 			cl.logf("pull %s: skipping %s (down)", rf, pn)
 			continue
 		}
-		img, digest, err := p.client.PullLayered(coll, name, tag, expectedDigest)
+		img, digest, err := p.client.Pull(coll, name, tag, expectedDigest)
 		if err == nil {
 			cl.logf("pull %s: served by %s", rf, pn)
 			cl.readRepair(coll, img, digest, absent)
@@ -189,9 +189,11 @@ func (cl *Cluster) Pull(coll, name, tag, expectedDigest string) (*image.Image, s
 }
 
 // readRepair re-pushes just-pulled content onto owner replicas that
-// answered 404 or quarantined during the failover walk. The monolithic
-// push path force-overwrites a quarantined entry's on-disk blob and
-// digest-verifies the round trip, so a repaired replica is byte-healthy.
+// answered 404 or quarantined during the failover walk. It is an
+// ordinary Push: the replica reports its quarantined layers as missing,
+// so exactly those are uploaded again, and the manifest commit verifies
+// the image end to end, clears the quarantine and rewrites the layer
+// files — a repaired replica is byte-healthy.
 func (cl *Cluster) readRepair(coll string, img *image.Image, digest string, absent []string) {
 	if len(absent) == 0 {
 		return

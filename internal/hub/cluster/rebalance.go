@@ -10,10 +10,10 @@ import (
 
 // Recovery drives: DeliverHints streams handed-off writes back to a
 // rejoined peer, RebalanceOnce restores full replication after any
-// membership change. Both reuse the layered transfer path, so a peer
-// that already holds most of an image's layers receives only the delta
-// (layer negotiation, PR 8) and interrupted streams resume from their
-// last verified chunk (Range pulls, PR 6).
+// membership change. Both move images with the hub's Push and Pull, so
+// a peer that already holds most of an image's layers receives only the
+// delta (layer negotiation) and interrupted streams resume from their
+// last verified chunk (Range pulls).
 
 // HandoffReport summarizes one DeliverHints drive.
 type HandoffReport struct {
@@ -60,13 +60,13 @@ func (cl *Cluster) DeliverHints(target string) (HandoffReport, error) {
 		rep.Hints += len(hints)
 		for _, h := range hints {
 			rf := ref(h.Collection, h.Container, h.Tag)
-			img, _, err := holder.client.PullLayered(h.Collection, h.Container, h.Tag, h.Digest)
+			img, _, err := holder.client.Pull(h.Collection, h.Container, h.Tag, h.Digest)
 			if err != nil {
 				rep.Failed++
 				cl.logf("handoff to %s: reading %s from %s failed (%s)", target, rf, holder.name, describeClass(err))
 				continue
 			}
-			if _, err := tp.client.PushLayered(h.Collection, img); err != nil {
+			if _, err := tp.client.Push(h.Collection, img); err != nil {
 				rep.Failed++
 				if isDownError(err) {
 					cl.setUp(tp, false, "hint delivery failed: "+describeClass(err))
@@ -100,8 +100,8 @@ type RebalanceReport struct {
 // its digest. The catalog is the union of every up peer's listings
 // (quarantined entries excluded — the scrubber and read repair own
 // those); on digest divergence between peers the copy on the earliest
-// peer in configured order wins. Transfers go through the layered path,
-// so established peers send only missing layers to the new owner.
+// peer in configured order wins. Transfers negotiate layers, so
+// established peers send only missing layers to the new owner.
 func (cl *Cluster) RebalanceOnce() RebalanceReport {
 	var rep RebalanceReport
 	type refInfo struct {
@@ -176,7 +176,7 @@ func (cl *Cluster) RebalanceOnce() RebalanceReport {
 				cl.logf("rebalance: no holder could serve %s (%s)", rf, describeClass(err))
 				continue
 			}
-			if _, err := p.client.PushLayered(ri.coll, img); err != nil {
+			if _, err := p.client.Push(ri.coll, img); err != nil {
 				rep.Failed++
 				if isDownError(err) {
 					cl.setUp(p, false, "rebalance push failed: "+describeClass(err))
@@ -202,7 +202,7 @@ func (cl *Cluster) pullFromHolder(coll, name, tag, digest string, holders map[st
 			continue
 		}
 		var pulled *image.Image
-		pulled, _, err = p.client.PullLayered(coll, name, tag, digest)
+		pulled, _, err = p.client.Pull(coll, name, tag, digest)
 		if err == nil {
 			return pulled, nil
 		}

@@ -13,7 +13,7 @@ import (
 // the fallback peer that accepted the bytes also journals a Hint — a
 // small metadata record naming the down owner and the entry it is owed.
 // Hints are durable registry state (journaled like puts, folded into
-// hints.json at compaction) so an acknowledged write survives the
+// the snapshot at compaction) so an acknowledged write survives the
 // fallback peer restarting before the owner recovers. When the owner
 // comes back, the cluster layer streams each hinted entry over (layer
 // negotiation keeps the transfer incremental) and acks the hint, which
@@ -66,14 +66,14 @@ func (s *Store) AddHint(h Hint) error {
 		return nil
 	}
 	if s.wal != nil {
-		if err := s.wal.appendHint(walHintAdd, h); err != nil {
+		if err := s.wal.appendRecord(walRecord{Op: walHintAdd, Hint: &h}); err != nil {
 			return err
 		}
 	}
 	s.mu.Lock()
 	s.hints[h.hintKey()] = h
 	s.mu.Unlock()
-	return nil
+	return s.mutatedLocked()
 }
 
 // AckHint removes one delivered hint, journaling the removal. It reports
@@ -93,14 +93,14 @@ func (s *Store) AckHint(h Hint) (bool, error) {
 		return false, nil
 	}
 	if s.wal != nil {
-		if err := s.wal.appendHint(walHintAck, existing); err != nil {
+		if err := s.wal.appendRecord(walRecord{Op: walHintAck, Hint: &existing}); err != nil {
 			return false, err
 		}
 	}
 	s.mu.Lock()
 	delete(s.hints, existing.hintKey())
 	s.mu.Unlock()
-	return true, nil
+	return true, s.mutatedLocked()
 }
 
 // Hints returns the stored hints owed to target (all hints when target
@@ -123,20 +123,6 @@ func (s *Store) HintCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.hints)
-}
-
-// EntryCount returns the number of stored entries across all collections.
-func (s *Store) EntryCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.meta)
-}
-
-// QuarantinedCount returns the number of quarantined entries.
-func (s *Store) QuarantinedCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.quarantined)
 }
 
 // NodeStatus is one peer's replica summary (GET /v1/_cluster/status).

@@ -2,7 +2,11 @@
 // distribution model (the Singularity-Hub stand-in): an HTTP server
 // organizing built images into collections with tags and content digests,
 // plus a client with digest-verified pull — reproducing Fig 6's
-// "collection page + clone of each container" workflow.
+// "collection page + clone of each container" workflow. Layers are the
+// only unit of storage and transfer: the store keeps refcounted,
+// content-addressed layers and one manifest per tag (store.go), and a
+// push or pull moves a manifest plus just the layers the other side
+// lacks (layers.go, pull.go).
 //
 // The client is resilient by construction: every operation runs through
 // a retry loop with exponential backoff, deterministic seeded jitter,
@@ -13,7 +17,6 @@
 package hub
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,7 +24,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,220 +31,9 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/image"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
-
-// Entry describes one stored image version.
-type Entry struct {
-	Collection string `json:"collection"`
-	Container  string `json:"container"`
-	Tag        string `json:"tag"`
-	Digest     string `json:"digest"`
-	Size       int    `json:"size"`
-	BuildHost  string `json:"buildHost,omitempty"`
-	// Layers counts the content-addressed layers of a layered (SCIF2)
-	// entry; 0 for monolithic (SCIF1) content.
-	Layers int `json:"layers,omitempty"`
-	// Quarantined marks content whose stored bytes failed digest
-	// verification (scrubber or recovery); it is served as 410 Gone
-	// until a re-push repairs it.
-	Quarantined bool `json:"quarantined,omitempty"`
-}
-
-// Store is the in-memory registry state, safe for concurrent use. A
-// store opened with OpenDurable additionally journals every mutation to
-// a write-ahead log before acknowledging it (see persist.go, wal.go).
-type Store struct {
-	mu          sync.RWMutex
-	blobs       map[string][]byte // key: coll/name:tag
-	digest      map[string]string
-	meta        map[string]Entry
-	quarantined map[string]string // key -> quarantine reason
-	// layers is the content-addressed layer index: encoded layer frames
-	// keyed by digest, learned from installed layered blobs and from
-	// PutLayer staging. A cache, not durable state (see layers.go).
-	layers map[string][]byte
-	// hints holds journaled hinted-handoff records, keyed by
-	// (target, ref) — writes owed to down peers (see hints.go).
-	hints map[string]Hint
-
-	// pmu serializes mutations so the journal order matches the order
-	// the in-memory maps were updated in; nil wal means in-memory only.
-	pmu          sync.Mutex
-	dir          string
-	wal          *wal
-	compactEvery int
-}
-
-// NewStore creates an empty registry store.
-func NewStore() *Store {
-	return &Store{
-		blobs:       map[string][]byte{},
-		digest:      map[string]string{},
-		meta:        map[string]Entry{},
-		quarantined: map[string]string{},
-		layers:      map[string][]byte{},
-		hints:       map[string]Hint{},
-	}
-}
-
-func key(coll, name, tag string) string { return coll + "/" + name + ":" + tag }
-
-// blobDigest computes the content digest of a marshalled image blob,
-// rejecting malformed payloads.
-func blobDigest(blob []byte) (string, error) {
-	img, err := image.Unmarshal(blob)
-	if err != nil {
-		return "", fmt.Errorf("hub: rejecting malformed image: %w", err)
-	}
-	return img.Digest()
-}
-
-// Put stores an image blob, computing and recording its digest. On a
-// durable store the blob file and journal record are fsynced before the
-// in-memory state changes. Re-pushing bytes whose digest matches the
-// already-stored (healthy) entry is a no-op: no copy, no blob write, no
-// journal record. Re-pushing to a quarantined entry repairs it.
-func (s *Store) Put(coll, name, tag string, blob []byte) (string, error) {
-	img, err := image.Unmarshal(blob)
-	if err != nil {
-		return "", fmt.Errorf("hub: rejecting malformed image: %w", err)
-	}
-	d, err := img.Digest()
-	if err != nil {
-		return "", err
-	}
-	k := key(coll, name, tag)
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	s.mu.RLock()
-	_, inQuarantine := s.quarantined[k]
-	identical := s.digest[k] == d && !inQuarantine
-	s.mu.RUnlock()
-	if identical {
-		// Idempotent re-push: the stored entry already holds exactly
-		// these bytes and is healthy.
-		return d, nil
-	}
-	e := Entry{
-		Collection: coll, Container: name, Tag: tag,
-		Digest: d, Size: len(blob), BuildHost: img.Meta.BuildHost,
-		Layers: len(img.Layers),
-	}
-	stored := append([]byte(nil), blob...)
-	if s.wal != nil {
-		pe := persistedEntry{Entry: e, Blob: blobFileName(d)}
-		// Repairing quarantined content must overwrite the on-disk blob:
-		// its content-addressed file may be the corrupt copy.
-		if err := s.persistPut(pe, stored, inQuarantine); err != nil {
-			return "", err
-		}
-	}
-	s.installEntry(k, e, stored)
-	if s.wal != nil && s.compactEvery > 0 && s.wal.records >= s.compactEvery {
-		if err := s.compactLocked(); err != nil {
-			return "", err
-		}
-	}
-	return d, nil
-}
-
-// Delete removes an entry, journaling the removal on durable stores.
-// It reports whether the entry existed.
-func (s *Store) Delete(coll, name, tag string) (bool, error) {
-	k := key(coll, name, tag)
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	s.mu.RLock()
-	e, ok := s.meta[k]
-	s.mu.RUnlock()
-	if !ok {
-		return false, nil
-	}
-	if s.wal != nil {
-		pe := persistedEntry{Entry: e}
-		if err := s.wal.append(walDelete, pe); err != nil {
-			return false, err
-		}
-	}
-	s.removeEntry(k)
-	return true, nil
-}
-
-// Get retrieves an image blob and its digest. Quarantined entries are
-// not served.
-func (s *Store) Get(coll, name, tag string) ([]byte, string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	k := key(coll, name, tag)
-	blob, ok := s.blobs[k]
-	if !ok {
-		return nil, "", false
-	}
-	if _, bad := s.quarantined[k]; bad {
-		return nil, "", false
-	}
-	return append([]byte(nil), blob...), s.digest[k], true
-}
-
-// view returns the stored blob without copying, plus its entry and
-// quarantine reason. The slice is safe to read concurrently: Put
-// replaces blobs wholesale and never mutates them in place.
-func (s *Store) view(coll, name, tag string) (blob []byte, e Entry, reason string, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	k := key(coll, name, tag)
-	e, ok = s.meta[k]
-	if !ok {
-		return nil, Entry{}, "", false
-	}
-	return s.blobs[k], e, s.quarantined[k], true
-}
-
-// QuarantineReason reports whether the entry is quarantined and why.
-func (s *Store) QuarantineReason(coll, name, tag string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	reason, ok := s.quarantined[key(coll, name, tag)]
-	return reason, ok
-}
-
-// List returns the entries of one collection, sorted by container then tag.
-func (s *Store) List(coll string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Entry
-	for _, e := range s.meta {
-		if e.Collection == coll {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Container != out[j].Container {
-			return out[i].Container < out[j].Container
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out
-}
-
-// Collections lists collection names, sorted.
-func (s *Store) Collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set := map[string]bool{}
-	for _, e := range s.meta {
-		set[e.Collection] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Server wraps a Store with the HTTP API.
 type Server struct {
@@ -253,9 +44,9 @@ type Server struct {
 	// MaxUploadBytes caps PUT/POST request bodies (default 64 MiB);
 	// oversized uploads are rejected with 413.
 	MaxUploadBytes int64
-	// ChunkSize is the digest-framing granularity for blob GETs (default
-	// 64 KiB): responses advertise a per-chunk SHA-256 list so clients
-	// can verify and resume partial transfers (see stream.go).
+	// ChunkSize is the digest-framing granularity for manifest and layer
+	// GETs (default 64 KiB): responses advertise a per-chunk SHA-256 list
+	// so clients can verify and resume partial transfers (see stream.go).
 	ChunkSize int
 	mux       *http.ServeMux
 	handler   http.Handler
@@ -268,7 +59,7 @@ type Server struct {
 	// it as the drain backlog and the gauge hub_server_inflight_requests
 	// tracks it when metrics are enabled.
 	inflight atomic.Int64
-	// chunkMu guards chunkCache, the per-digest chunk manifest memo
+	// chunkMu guards chunkCache, the per-layer chunk list memo
 	// (content-addressed, so entries never go stale).
 	chunkMu    sync.Mutex
 	chunkCache map[string][]string
@@ -362,73 +153,48 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handle routes /v1/{collection}[/{container}/{tag}[/manifest]] and the
-// layer-transfer endpoints under /v1/_layers/ (see layers.go).
+// handle routes /v1/ requests:
+//
+//	GET    /v1/                              collections
+//	GET    /v1/{coll}                        a collection's entries
+//	DELETE /v1/{coll}/{name}/{tag}           remove a tag
+//	GET    /v1/{coll}/{name}/{tag}/manifest  a tag's manifest (layers.go)
+//	PUT    /v1/{coll}/{name}/{tag}/manifest  commit a manifest
+//	       /v1/_layers/...                   layer transfer (layers.go)
+//	       /v1/_cluster/...                  replica state (hints.go)
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.Trim(strings.TrimPrefix(r.URL.Path, "/v1/"), "/"), "/")
 	switch {
 	case len(parts) == 2 && parts[0] == "_layers" && parts[1] == "missing":
 		s.handleLayerMissing(w, r)
-		return
 	case len(parts) == 2 && parts[0] == "_layers":
 		s.handleLayer(w, r, parts[1])
-		return
 	case len(parts) >= 2 && parts[0] == "_cluster":
 		s.handleCluster(w, r, parts)
-		return
 	case len(parts) == 4 && parts[3] == "manifest":
 		s.handleManifest(w, r, parts[0], parts[1], parts[2])
-		return
-	}
-	switch {
+	case len(parts) == 1 && r.Method != http.MethodGet:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	case len(parts) == 1 && parts[0] == "":
-		// GET /v1/ — list collections.
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
 		writeJSON(w, s.Store.Collections())
 	case len(parts) == 1:
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
 		entries := s.Store.List(parts[0])
 		if len(entries) == 0 {
 			http.Error(w, "collection not found", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, entries)
-	case len(parts) == 3:
-		coll, name, tag := parts[0], parts[1], parts[2]
-		switch r.Method {
-		case http.MethodGet:
-			s.serveBlob(w, r, coll, name, tag)
-		case http.MethodPut, http.MethodPost:
-			blob, err := readBody(w, r, s.MaxUploadBytes)
-			if err != nil {
-				return // readBody already wrote the status
-			}
-			digest, err := s.Store.Put(coll, name, tag, blob)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, map[string]string{"digest": digest})
-		case http.MethodDelete:
-			existed, err := s.Store.Delete(coll, name, tag)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if !existed {
-				http.Error(w, "image not found", http.StatusNotFound)
-				return
-			}
-			writeJSON(w, map[string]string{"deleted": coll + "/" + name + ":" + tag})
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	case len(parts) == 3 && r.Method == http.MethodDelete:
+		existed, err := s.Store.Delete(parts[0], parts[1], parts[2])
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		if !existed {
+			http.Error(w, "image not found", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, map[string]string{"deleted": key(parts[0], parts[1], parts[2])})
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
@@ -592,43 +358,6 @@ func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 		}
 	}
 	return c
-}
-
-// Push uploads an image, returning the server-computed digest. It verifies
-// the server digest against a locally computed one; a mismatch is treated
-// as a corrupt transfer and retried once.
-func (c *Client) Push(coll string, img *image.Image) (string, error) {
-	blob, err := img.Marshal()
-	if err != nil {
-		return "", err
-	}
-	localDigest, err := img.Digest()
-	if err != nil {
-		return "", err
-	}
-	op := fmt.Sprintf("push %s/%s:%s", coll, img.Meta.Name, img.Meta.Tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s", c.BaseURL, coll, img.Meta.Name, img.Meta.Tag)
-	var digest string
-	err = c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPut, url, bytes.NewReader(blob))
-	}, func(resp *http.Response) error {
-		var out struct {
-			Digest string `json:"digest"`
-		}
-		if err := jsonDecode(io.LimitReader(resp.Body, c.MaxResponseBytes), &out); err != nil {
-			return fmt.Errorf("%w: decoding push response: %v", ErrCorrupt, err)
-		}
-		if out.Digest != localDigest {
-			return fmt.Errorf("%w: server digest %s != local digest %s", ErrCorrupt, out.Digest, localDigest)
-		}
-		digest = out.Digest
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	c.obs.Add("hub_client_bytes_pushed_total", float64(len(blob)))
-	return digest, nil
 }
 
 // List fetches the entries of a collection.

@@ -22,6 +22,49 @@ func testImage(name, tag, content string) *image.Image {
 	}
 }
 
+// layerized returns the layer chain img is stored and transferred as:
+// its own, or the single layer of a monolithic image.
+func layerized(t *testing.T, img *image.Image) []*image.Layer {
+	t.Helper()
+	cp := *img
+	if err := cp.Layerize(); err != nil {
+		t.Fatal(err)
+	}
+	return cp.Layers
+}
+
+// storedImage reassembles what the store serves for coll/name:tag from
+// its manifest and layers — false when the tag is absent or quarantined.
+func storedImage(t *testing.T, s *Store, coll, name, tag string) (*image.Image, string, bool) {
+	t.Helper()
+	e, body, reason, ok := s.manifest(coll, name, tag)
+	if !ok || reason != "" {
+		return nil, "", false
+	}
+	m, err := image.ParseManifest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := make([]*image.Layer, len(m.Layers))
+	for i, d := range m.Layers {
+		data, _, ok := s.layer(d.Digest)
+		if !ok {
+			t.Fatalf("%s lists layer %s the store does not hold", key(coll, name, tag), d.Digest)
+		}
+		if layers[i], err = image.DecodeLayer(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := image.AssembleFromLayers(m.Config, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := img.VerifyDigest(e.Digest); err != nil {
+		t.Fatalf("stored %s: %v", key(coll, name, tag), err)
+	}
+	return img, e.Digest, true
+}
+
 func newTestClient(t *testing.T) (*Client, *Store, func()) {
 	t.Helper()
 	store := NewStore()
@@ -139,7 +182,7 @@ func TestStoreRejectsMalformedBlob(t *testing.T) {
 func TestServerRejectsCorruptUpload(t *testing.T) {
 	c, _, done := newTestClient(t)
 	defer done()
-	req, _ := http.NewRequest(http.MethodPut, c.BaseURL+"/v1/c/n/t", bytes.NewReader([]byte("garbage")))
+	req, _ := http.NewRequest(http.MethodPut, c.BaseURL+"/v1/c/n/t/manifest", bytes.NewReader([]byte("garbage")))
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		t.Fatal(err)

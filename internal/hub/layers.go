@@ -2,140 +2,41 @@ package hub
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/image"
 )
 
-// Layer-level transfer: layered (SCIF2) images are negotiated by layer
-// digest, so a push uploads only the layers the registry is missing and
-// a pull downloads only the layers the client has not already cached —
-// the registry analogue of the stage-level build cache. The protocol
-// rides on the existing resilient primitives: layer bodies are served
-// with the same chunk-digest framing and Range resume as image blobs,
-// and every operation runs through the retry loop and breaker.
+// The transfer protocol: images move as a manifest plus layers, each
+// layer negotiated by digest, so a push uploads only the layers the
+// registry is missing and a pull downloads only the layers the client
+// has not already cached — the registry analogue of the stage-level
+// build cache. Manifests and layers are served with the same chunk-digest
+// framing and Range resume (stream.go), and every request runs through
+// the retry loop and breaker.
 //
 // Server endpoints:
 //
 //	POST /v1/_layers/missing            {"digests":[...]} -> {"missing":[...]}
 //	GET  /v1/_layers/{digest}           one encoded layer (chunk-framed)
 //	PUT  /v1/_layers/{digest}           stage one layer for later manifests
-//	GET  /v1/{c}/{n}/{t}/manifest       the stored image's layer manifest
+//	GET  /v1/{c}/{n}/{t}/manifest       the tag's manifest (chunk-framed)
 //	PUT  /v1/{c}/{n}/{t}/manifest       commit a manifest; 412 + missing
 //	                                    list when layers are absent
 //
-// Staged layers are a content-addressed cache, not durable registry
-// state: they are not journaled, and a restarted durable store re-learns
-// its layer index from the installed blobs. A client whose staged layers
-// were lost between negotiation and manifest commit sees 412 and simply
-// re-uploads — the manifest commit is the only durable mutation, and it
-// goes through Store.Put, so WAL ordering and digest verification are
-// exactly those of a monolithic push.
-
-// layerContentDigest is the content address of one encoded layer frame.
-func layerContentDigest(frame []byte) string {
-	sum := sha256.Sum256(frame)
-	return "sha256:" + hex.EncodeToString(sum[:])
-}
-
-// indexLayersLocked records the layer frames of a layered blob in the
-// content-addressed layer index. Caller holds s.mu. The frames alias
-// blob, which is safe: installed blobs are immutable (Put replaces them
-// wholesale).
-func (s *Store) indexLayersLocked(blob []byte) {
-	if !image.IsLayered(blob) {
-		return
-	}
-	_, frames, err := image.LayeredFrames(blob)
-	if err != nil {
-		return // the blob was digest-verified upstream; be lenient here
-	}
-	for _, f := range frames {
-		d := layerContentDigest(f)
-		if _, ok := s.layers[d]; !ok {
-			s.layers[d] = f
-		}
-	}
-}
-
-// PutLayer stages one encoded layer, verifying it decodes cleanly, and
-// returns its content digest. Staging is idempotent and content-addressed;
-// the layer becomes reachable registry state only once a manifest commit
-// references it.
-func (s *Store) PutLayer(data []byte) (string, error) {
-	l, err := image.DecodeLayer(data) // copies data, validates the changeset
-	if err != nil {
-		return "", fmt.Errorf("hub: rejecting malformed layer: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.layers[l.Digest()]; !ok {
-		s.layers[l.Digest()] = l.Bytes()
-	}
-	return l.Digest(), nil
-}
-
-// LayerBlob returns the encoded bytes of one layer. The slice is
-// immutable; callers must not modify it.
-func (s *Store) LayerBlob(digest string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, ok := s.layers[digest]
-	return f, ok
-}
-
-// MissingLayers reports which of the given digests the store does not
-// hold, preserving order.
-func (s *Store) MissingLayers(digests []string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	missing := []string{}
-	for _, d := range digests {
-		if _, ok := s.layers[d]; !ok {
-			missing = append(missing, d)
-		}
-	}
-	return missing
-}
-
-// layerFrames returns the encoded frames for digests in order, or the
-// list of absent digests (checked and fetched under one lock, so a
-// concurrent eviction cannot split the answer).
-func (s *Store) layerFrames(digests []string) (frames [][]byte, missing []string) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	frames = make([][]byte, 0, len(digests))
-	for _, d := range digests {
-		f, ok := s.layers[d]
-		if !ok {
-			missing = append(missing, d)
-			continue
-		}
-		frames = append(frames, f)
-	}
-	if len(missing) > 0 {
-		return nil, missing
-	}
-	return frames, nil
-}
-
-// LayerCount returns the number of distinct layers indexed.
-func (s *Store) LayerCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.layers)
-}
+// Staged layers are a cache, not registry state: they are not journaled
+// and the next compaction drops them unless a manifest references them.
+// A client whose staged layers were lost between negotiation and commit
+// sees 412 and re-negotiates once; the manifest commit is the only
+// durable mutation of a push.
 
 // handleLayerMissing answers POST /v1/_layers/missing: the negotiation
-// step of a layered push.
+// step of a push.
 func (s *Server) handleLayerMissing(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -155,17 +56,20 @@ func (s *Server) handleLayerMissing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string][]string{"missing": s.Store.MissingLayers(req.Digests)})
 }
 
-// handleLayer answers GET/PUT /v1/_layers/{digest}: one encoded layer,
-// served with the same chunk framing and Range support as image blobs.
+// handleLayer answers GET/PUT /v1/_layers/{digest}.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request, digest string) {
 	switch r.Method {
 	case http.MethodGet:
-		blob, ok := s.Store.LayerBlob(digest)
+		blob, reason, ok := s.Store.layer(digest)
 		if !ok {
 			http.Error(w, "layer not found", http.StatusNotFound)
 			return
 		}
-		s.serveVerified(w, r, digest, blob)
+		if reason != "" {
+			quarantined(w, reason)
+			return
+		}
+		s.serveVerified(w, r, digest, blob, s.layerChunks(digest, blob))
 	case http.MethodPut, http.MethodPost:
 		body, err := readBody(w, r, s.MaxUploadBytes)
 		if err != nil {
@@ -188,36 +92,27 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request, digest stri
 	}
 }
 
+// quarantined answers 410 Gone with the typed error header: the bytes
+// on hand are known-bad, and the fix is a re-push, not a retry.
+func quarantined(w http.ResponseWriter, reason string) {
+	w.Header().Set(headerHubError, hubErrQuarantined)
+	http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
+}
+
 // handleManifest answers GET/PUT /v1/{coll}/{name}/{tag}/manifest.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, name, tag string) {
 	switch r.Method {
 	case http.MethodGet:
-		blob, e, reason, ok := s.Store.view(coll, name, tag)
+		e, body, reason, ok := s.Store.manifest(coll, name, tag)
 		if !ok {
 			http.Error(w, "image not found", http.StatusNotFound)
 			return
 		}
-		if e.Quarantined || reason != "" {
-			w.Header().Set(headerHubError, hubErrQuarantined)
-			http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
+		if reason != "" {
+			quarantined(w, reason)
 			return
 		}
-		if !image.IsLayered(blob) {
-			// A monolithic (SCIF1) entry has no manifest; the typed 404
-			// tells the client to fall back to a legacy pull.
-			w.Header().Set(headerHubError, hubErrNotLayered)
-			http.Error(w, "image is not stored in layered form", http.StatusNotFound)
-			return
-		}
-		manifest, _, err := image.LayeredFrames(blob)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set(headerDigest, e.Digest)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(manifest)))
-		w.Write(manifest)
+		s.serveVerified(w, r, e.Digest, body, chunkDigests(body, s.chunkSize()))
 	case http.MethodPut, http.MethodPost:
 		body, err := readBody(w, r, s.MaxUploadBytes)
 		if err != nil {
@@ -228,17 +123,17 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, na
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		digests := make([]string, 0, len(m.Layers))
-		for _, d := range m.Layers {
-			digests = append(digests, d.Digest)
+		missing, err := s.Store.PutManifest(coll, name, tag, m)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		frames, missing := s.Store.layerFrames(digests)
 		if len(missing) > 0 {
 			// Precondition failed: the client must upload these layers and
 			// retry the commit.
-			data, jerr := json.Marshal(map[string][]string{"missing": missing})
-			if jerr != nil {
-				http.Error(w, jerr.Error(), http.StatusInternalServerError)
+			data, err := json.Marshal(map[string][]string{"missing": missing})
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
@@ -246,17 +141,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request, coll, na
 			w.Write(data)
 			return
 		}
-		// Reassemble the layered blob from the client's exact manifest
-		// bytes and the staged frames, then commit through Store.Put so the
-		// result is digest-verified end to end (layer digests, sizes, and
-		// the flattened image digest) and journaled like any other push.
-		blob := image.AssembleLayered(body, frames)
-		digest, err := s.Store.Put(coll, name, tag, blob)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, map[string]string{"digest": digest})
+		writeJSON(w, map[string]string{"digest": m.ImageDigest})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -313,8 +198,8 @@ func (lc *LayerCache) Hits() int64 {
 // LayerCache returns the client's layer cache.
 func (c *Client) LayerCache() *LayerCache { return c.layerCache }
 
-// MissingLayers asks the server which of the given layer digests it does
-// not hold.
+// MissingLayers asks the server which of the given layer digests a push
+// must upload.
 func (c *Client) MissingLayers(digests []string) ([]string, error) {
 	body, err := json.Marshal(map[string][]string{"digests": digests})
 	if err != nil {
@@ -337,13 +222,16 @@ func (c *Client) MissingLayers(digests []string) ([]string, error) {
 	return out.Missing, nil
 }
 
-// PushLayered uploads an image by layer negotiation: ask the server which
-// layers it is missing, upload only those, then commit the manifest. A
-// monolithic image is layerized (one layer) first. If the server loses
-// staged layers between negotiation and commit (e.g. it restarted), the
-// 412 answer triggers one full re-negotiation before giving up.
-func (c *Client) PushLayered(coll string, img *image.Image) (string, error) {
-	m, err := img.Manifest()
+// Push uploads an image and returns its digest: it asks the server which
+// of the image's layers it is missing, uploads only those, then commits
+// the manifest and checks the server's digest against the local one. A
+// monolithic image travels as a single layer (the caller's image is not
+// modified). If the server loses staged layers between negotiation and
+// commit (e.g. it compacted or restarted), the 412 answer triggers one
+// full re-negotiation before giving up.
+func (c *Client) Push(coll string, img *image.Image) (string, error) {
+	layered := *img
+	m, err := layered.Manifest()
 	if err != nil {
 		return "", err
 	}
@@ -351,12 +239,13 @@ func (c *Client) PushLayered(coll string, img *image.Image) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	byDigest := make(map[string]*image.Layer, len(img.Layers))
-	digests := make([]string, 0, len(img.Layers))
-	for _, l := range img.Layers {
+	byDigest := make(map[string]*image.Layer, len(layered.Layers))
+	digests := make([]string, 0, len(layered.Layers))
+	for _, l := range layered.Layers {
 		byDigest[l.Digest()] = l
 		digests = append(digests, l.Digest())
 	}
+	ref := key(coll, img.Meta.Name, img.Meta.Tag)
 	for attempt := 0; ; attempt++ {
 		missing, err := c.MissingLayers(digests)
 		if err != nil {
@@ -372,16 +261,16 @@ func (c *Client) PushLayered(coll string, img *image.Image) (string, error) {
 				return "", err
 			}
 		}
-		digest, err := c.putManifest(coll, img.Meta.Name, img.Meta.Tag, manifestBytes, m.ImageDigest)
+		err = c.putManifest(coll, img.Meta.Name, img.Meta.Tag, manifestBytes, m.ImageDigest)
 		if err == nil {
-			for _, l := range img.Layers {
+			for _, l := range layered.Layers {
 				c.layerCache.add(l)
 			}
-			return digest, nil
+			return m.ImageDigest, nil
 		}
 		var he *HTTPError
 		if errors.As(err, &he) && he.Status == http.StatusPreconditionFailed && attempt == 0 {
-			c.logf("push-layered %s/%s:%s: staged layers lost, re-negotiating", coll, img.Meta.Name, img.Meta.Tag)
+			c.logf("push %s: staged layers lost, re-negotiating", ref)
 			continue
 		}
 		return "", err
@@ -416,13 +305,11 @@ func (c *Client) pushLayer(l *image.Layer) error {
 }
 
 // putManifest commits a manifest and verifies the server-computed digest
-// against the locally known flattened digest. A 412 (missing layers)
-// surfaces as *HTTPError for the caller to re-negotiate.
-func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, localDigest string) (string, error) {
-	op := fmt.Sprintf("pushmanifest %s/%s:%s", coll, name, tag)
+// against the local one. A 412 (missing layers) surfaces as *HTTPError
+// for the caller to re-negotiate.
+func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, localDigest string) error {
 	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
-	var digest string
-	err := c.do(op, func() (*http.Request, error) {
+	return c.do("push "+key(coll, name, tag), func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPut, url, bytes.NewReader(manifestBytes))
 	}, func(resp *http.Response) error {
 		var out struct {
@@ -434,116 +321,6 @@ func (c *Client) putManifest(coll, name, tag string, manifestBytes []byte, local
 		if out.Digest != localDigest {
 			return fmt.Errorf("%w: server digest %s != local digest %s", ErrCorrupt, out.Digest, localDigest)
 		}
-		digest = out.Digest
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	return digest, nil
-}
-
-// PullLayered downloads an image by manifest: fetch the layer manifest,
-// pull only the layers not already in the client's layer cache, and
-// reassemble — verifying each layer's digest on the wire and the
-// flattened image digest at the end. If the server does not hold the
-// image in layered form (or predates the manifest API), it falls back to
-// the legacy monolithic Pull, so PullLayered is safe to use against any
-// entry.
-func (c *Client) PullLayered(coll, name, tag, expectedDigest string) (*image.Image, string, error) {
-	op := fmt.Sprintf("pullmanifest %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
-	var m *image.Manifest
-	err := c.do(op, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, url, nil)
-	}, func(resp *http.Response) error {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, c.MaxResponseBytes))
-		if err != nil {
-			return err
-		}
-		got, err := image.ParseManifest(body)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if expectedDigest != "" && got.ImageDigest != expectedDigest {
-			return fmt.Errorf("%w: manifest digest %s != expected %s", ErrCorrupt, got.ImageDigest, expectedDigest)
-		}
-		if adv := resp.Header.Get(headerDigest); adv != "" && adv != got.ImageDigest {
-			return fmt.Errorf("%w: advertised digest %s != manifest digest %s", ErrCorrupt, adv, got.ImageDigest)
-		}
-		m = got
-		return nil
-	})
-	if err != nil {
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status == http.StatusNotFound {
-			c.logf("%s: no layered manifest, falling back to monolithic pull", op)
-			return c.Pull(coll, name, tag, expectedDigest)
-		}
-		return nil, "", err
-	}
-	layers := make([]*image.Layer, len(m.Layers))
-	for i, desc := range m.Layers {
-		if l, ok := c.layerCache.get(desc.Digest); ok {
-			c.obs.Inc("hub_client_layer_cache_hits_total")
-			layers[i] = l
-			continue
-		}
-		l, err := c.pullLayer(desc)
-		if err != nil {
-			return nil, "", err
-		}
-		c.layerCache.add(l)
-		layers[i] = l
-	}
-	img, err := image.AssembleFromLayers(m.Config, layers)
-	if err != nil {
-		return nil, "", err
-	}
-	if err := img.VerifyDigest(m.ImageDigest); err != nil {
-		return nil, "", fmt.Errorf("%w: reassembled image: %v", ErrCorrupt, err)
-	}
-	return img, m.ImageDigest, nil
-}
-
-// pullLayer downloads one layer through the streaming pull machinery:
-// chunk-level digest verification, incremental size-cap enforcement, and
-// Range resume from the last verified chunk across attempts.
-func (c *Client) pullLayer(desc image.LayerDescriptor) (*image.Layer, error) {
-	op := "pulllayer " + desc.Digest
-	url := c.BaseURL + "/v1/_layers/" + desc.Digest
-	st := &pullProgress{total: -1}
-	var layer *image.Layer
-	err := c.do(op, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(st.buf) > 0 {
-			req.Header.Set("Range", fmt.Sprintf("bytes=%d-", len(st.buf)))
-			c.logf("%s resuming from verified offset %d", op, len(st.buf))
-			c.obs.Inc("hub_client_pull_resumes_total")
-		}
-		return req, nil
-	}, func(resp *http.Response) error {
-		blob, err := c.readPull(st, resp, desc.Digest)
-		if err != nil {
-			return err
-		}
-		l, err := image.DecodeLayer(blob)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if l.Digest() != desc.Digest {
-			return fmt.Errorf("%w: pulled layer digest %s != %s", ErrCorrupt, l.Digest(), desc.Digest)
-		}
-		layer = l
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.obs.Inc("hub_client_layers_pulled_total")
-	c.obs.Add("hub_client_layer_bytes_pulled_total", float64(layer.Size()))
-	return layer, nil
 }

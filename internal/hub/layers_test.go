@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -46,7 +47,7 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	digest, err := c.PushLayered("pepa-tools", img)
+	digest, err := c.Push("pepa-tools", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,20 +55,21 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 		t.Errorf("push digest = %s, want %s", digest, localDigest)
 	}
 
-	// The committed blob is exactly the client's layered serialization.
-	blob, _, ok := store.Get("pepa-tools", "pepa", "latest")
+	// The tag holds exactly the client's manifest.
+	_, body, _, ok := store.manifest("pepa-tools", "pepa", "latest")
 	if !ok {
-		t.Fatal("entry missing after layered push")
+		t.Fatal("entry missing after push")
 	}
-	if !image.IsLayered(blob) {
-		t.Fatal("stored blob is not in layered form")
-	}
-	want, err := img.MarshalLayered()
+	m, err := img.Manifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(blob) != string(want) {
-		t.Error("stored blob differs from local layered serialization")
+	want, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != string(want) {
+		t.Errorf("stored manifest differs from the local one:\n got %s\nwant %s", body, want)
 	}
 	entries := store.List("pepa-tools")
 	if len(entries) != 1 || entries[0].Layers != 3 {
@@ -76,7 +78,7 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 
 	// A fresh client reassembles the image from its layers.
 	c2 := NewClient(strings.TrimSuffix(c.BaseURL, "/"))
-	pulled, gotDigest, err := c2.PullLayered("pepa-tools", "pepa", "latest", localDigest)
+	pulled, gotDigest, err := c2.Pull("pepa-tools", "pepa", "latest", localDigest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,26 +94,13 @@ func TestLayeredPushPullRoundTrip(t *testing.T) {
 	if len(pulled.Layers) != 3 {
 		t.Errorf("pulled image carries %d layers, want 3", len(pulled.Layers))
 	}
-
-	// The legacy monolithic pull still works against the layered entry
-	// and agrees on the digest.
-	legacy, legacyDigest, err := c2.Pull("pepa-tools", "pepa", "latest", localDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyDigest != localDigest {
-		t.Errorf("legacy pull digest = %s, want %s", legacyDigest, localDigest)
-	}
-	if d, _ := legacy.Digest(); d != localDigest {
-		t.Errorf("legacy pulled image digest = %s, want %s", d, localDigest)
-	}
 }
 
 func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 	c, store, done := newTestClient(t)
 	defer done()
 	a := layeredTestImage(t, "pepa", "v1", "base", "deps", "solver-v1")
-	if _, err := c.PushLayered("coll", a); err != nil {
+	if _, err := c.Push("coll", a); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.LayerCount(); got != 3 {
@@ -122,7 +111,7 @@ func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 	// should cross the wire.
 	b := layeredTestImage(t, "pepa", "v2", "base", "deps", "solver-v2")
 	c.ResetAttemptLog()
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 	uploads := c.AttemptsMatching("pushlayer ")
@@ -135,7 +124,7 @@ func TestLayeredPushTransfersOnlyMissingLayers(t *testing.T) {
 
 	// Re-pushing the same image uploads nothing and is idempotent.
 	c.ResetAttemptLog()
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 	if uploads := c.AttemptsMatching("pushlayer "); len(uploads) != 0 {
@@ -150,22 +139,22 @@ func TestLayeredPullUsesLayerCache(t *testing.T) {
 	b := layeredTestImage(t, "pepa", "v2", "base", "deps", "solver-v2")
 	da, _ := a.Digest()
 	db, _ := b.Digest()
-	if _, err := c.PushLayered("coll", a); err != nil {
+	if _, err := c.Push("coll", a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushLayered("coll", b); err != nil {
+	if _, err := c.Push("coll", b); err != nil {
 		t.Fatal(err)
 	}
 
 	puller := NewClient(c.BaseURL)
-	if _, _, err := puller.PullLayered("coll", "pepa", "v1", da); err != nil {
+	if _, _, err := puller.Pull("coll", "pepa", "v1", da); err != nil {
 		t.Fatal(err)
 	}
 	if got := puller.AttemptsMatching("pulllayer "); len(got) != 3 {
 		t.Fatalf("cold pull fetched %d layers, want 3: %v", len(got), got)
 	}
 	puller.ResetAttemptLog()
-	if _, _, err := puller.PullLayered("coll", "pepa", "v2", db); err != nil {
+	if _, _, err := puller.Pull("coll", "pepa", "v2", db); err != nil {
 		t.Fatal(err)
 	}
 	if got := puller.AttemptsMatching("pulllayer "); len(got) != 1 {
@@ -176,7 +165,10 @@ func TestLayeredPullUsesLayerCache(t *testing.T) {
 	}
 }
 
-func TestPullLayeredFallsBackToLegacy(t *testing.T) {
+// TestMonolithicPushIsSingleLayerManifest: a monolithic (SCIF1) image
+// travels and is stored as a one-layer manifest, and pulls back with
+// the same digest and the same SCIF1 bytes.
+func TestMonolithicPushIsSingleLayerManifest(t *testing.T) {
 	c, store, done := newTestClient(t)
 	defer done()
 	img := testImage("pepa", "latest", "monolithic")
@@ -184,27 +176,22 @@ func TestPullLayeredFallsBackToLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _, _ := store.Get("coll", "pepa", "latest")
-	if image.IsLayered(blob) {
-		t.Fatal("legacy push stored a layered blob")
+	if img.Layered() {
+		t.Error("Push layerized the caller's image")
+	}
+	if entries := store.List("coll"); len(entries) != 1 || entries[0].Layers != 1 {
+		t.Errorf("entries = %+v, want one single-layer entry", entries)
 	}
 
-	pulled, gotDigest, err := c.PullLayered("coll", "pepa", "latest", digest)
+	pulled, gotDigest, err := NewClient(c.BaseURL).Pull("coll", "pepa", "latest", digest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotDigest != digest {
-		t.Errorf("fallback pull digest = %s, want %s", gotDigest, digest)
+		t.Errorf("pull digest = %s, want %s", gotDigest, digest)
 	}
-	got, err := pulled.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Error("fallback pull is not byte-identical to the stored legacy blob")
-	}
-	if len(c.AttemptsMatching("pull coll/pepa:latest")) == 0 {
-		t.Error("expected a legacy pull attempt after the manifest 404")
+	if string(mustBlob(t, pulled)) != string(mustBlob(t, img)) {
+		t.Error("pulled image is not byte-identical to the pushed SCIF1 image")
 	}
 }
 
@@ -213,15 +200,15 @@ func TestLayeredPushRenegotiatesOn412(t *testing.T) {
 	srv := NewServer(store)
 	inner := srv.Handler()
 	var once sync.Once
-	// Drop every staged layer just before the first manifest commit,
-	// simulating a registry that lost its (non-durable) staging area
-	// between negotiation and commit.
+	// Compact just before the first manifest commit: compaction drops
+	// staged layers no manifest references yet, as a registry that
+	// compacts (or restarts) between negotiation and commit does.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/manifest") {
 			once.Do(func() {
-				store.mu.Lock()
-				store.layers = map[string][]byte{}
-				store.mu.Unlock()
+				if err := store.Compact(); err != nil {
+					t.Error(err)
+				}
 			})
 		}
 		inner.ServeHTTP(w, r)
@@ -231,7 +218,7 @@ func TestLayeredPushRenegotiatesOn412(t *testing.T) {
 	c := NewClient(ts.URL)
 	img := layeredTestImage(t, "pepa", "latest", "base", "deps", "solver")
 	localDigest, _ := img.Digest()
-	digest, err := c.PushLayered("coll", img)
+	digest, err := c.Push("coll", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +229,7 @@ func TestLayeredPushRenegotiatesOn412(t *testing.T) {
 	if uploads := c.AttemptsMatching("pushlayer "); len(uploads) != 6 {
 		t.Errorf("pushed %d layers across renegotiation, want 6: %v", len(uploads), uploads)
 	}
-	if _, _, ok := store.Get("coll", "pepa", "latest"); !ok {
+	if _, _, ok := storedImage(t, store, "coll", "pepa", "latest"); !ok {
 		t.Error("entry missing after renegotiated push")
 	}
 }
@@ -268,9 +255,9 @@ func TestStoreIndexesLayersFromInstalledBlobs(t *testing.T) {
 		t.Errorf("MissingLayers = %v, want none", missing)
 	}
 	for _, l := range img.Layers {
-		frame, ok := store.LayerBlob(l.Digest())
+		frame, _, ok := store.layer(l.Digest())
 		if !ok || string(frame) != string(l.Bytes()) {
-			t.Errorf("LayerBlob(%s) missing or differs", l.Digest())
+			t.Errorf("layer %s missing or differs", l.Digest())
 		}
 	}
 }

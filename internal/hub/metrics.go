@@ -83,12 +83,16 @@ func endpointClass(r *http.Request) string {
 	case strings.HasPrefix(path, "/v1/"):
 		parts := strings.Split(strings.Trim(strings.TrimPrefix(path, "/v1/"), "/"), "/")
 		switch {
+		case parts[0] == "_layers" || parts[0] == "_cluster":
+			return r.Method + " /v1/" + parts[0]
 		case len(parts) == 1 && parts[0] == "":
 			return r.Method + " /v1/"
 		case len(parts) == 1:
 			return r.Method + " /v1/{collection}"
 		case len(parts) == 3:
 			return r.Method + " /v1/{collection}/{container}/{tag}"
+		case len(parts) == 4 && parts[3] == "manifest":
+			return r.Method + " /v1/{collection}/{container}/{tag}/manifest"
 		}
 	}
 	return r.Method + " other"

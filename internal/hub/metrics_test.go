@@ -57,7 +57,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(text, "hub_server_requests_total") {
 		t.Error("missing hub_server_requests_total family")
 	}
-	if !strings.Contains(text, `endpoint="GET /v1/{collection}/{container}/{tag}"`) {
+	if !strings.Contains(text, `endpoint="GET /v1/{collection}/{container}/{tag}/manifest"`) {
 		t.Error("missing collapsed endpoint label for the pull")
 	}
 	samples := 0

@@ -5,30 +5,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 
 	"repro/internal/fsatomic"
+	"repro/internal/image"
 )
 
-// Persistence: the registry state lives in a directory holding a
-// snapshot index (index.json), one content-addressed blob file per
-// image, and an append-only write-ahead journal (journal.wal, see
-// wal.go). A durable store (OpenDurable) journals every mutation before
-// acknowledging it and periodically compacts the journal into a fresh
-// snapshot; replay-on-open recovers from crashes and torn tails. The
-// legacy Save/Load pair remains for one-shot snapshot round trips.
+// Persistence: a durable store's directory holds one file per committed
+// layer (<hex>.layer, content-addressed and written once), a snapshot
+// (index.json: every tag's manifest, the quarantined layers and the
+// hinted-handoff records) and the write-ahead journal of mutations made
+// since that snapshot (journal.wal, see wal.go). Opening loads the
+// snapshot, replays the journal on top (truncating any torn tail), then
+// reads and re-verifies the file of every referenced layer; a missing
+// or corrupt file quarantines its layer instead of failing the open.
+// Compaction rewrites the snapshot, resets the journal and removes the
+// layers no manifest references, from memory and from disk.
 
-// indexFile is the on-disk catalogue name.
+// indexFile is the on-disk snapshot name.
 const indexFile = "index.json"
 
-// hintsFile persists hinted-handoff records across journal compactions
-// (see hints.go); like the index it is rewritten atomically.
-const hintsFile = "hints.json"
+// defaultCompactEvery is how many mutations a store takes between
+// compactions unless DurableOptions says otherwise.
+const defaultCompactEvery = 128
 
-type persistedEntry struct {
-	Entry
-	Blob string `json:"blob,omitempty"` // file name within the state directory
+// snapshot is the content of indexFile.
+type snapshot struct {
+	Tags        []taggedManifest  `json:"tags"`
+	Quarantined map[string]string `json:"quarantined,omitempty"` // layer digest -> reason
+	Hints       []Hint            `json:"hints,omitempty"`
 }
 
 // DurableOptions tunes OpenDurable. Zero fields use defaults.
@@ -40,41 +47,42 @@ type DurableOptions struct {
 
 // OpenReport summarizes what OpenDurable recovered.
 type OpenReport struct {
-	SnapshotEntries int   // entries restored from index.json
+	SnapshotEntries int   // tags restored from index.json
 	JournalRecords  int   // journal records replayed on top
 	TornBytes       int64 // torn journal tail bytes truncated
-	Quarantined     int   // entries quarantined during recovery
+	Quarantined     int   // layers quarantined after recovery
 }
 
 // OpenDurable opens (creating if needed) a durable store rooted at dir:
 // the snapshot is loaded, the journal is replayed on top (truncating any
-// torn tail), and every subsequent Put/Delete/quarantine is journaled
-// with an fsync before it is acknowledged. Blobs that fail their digest
-// check during recovery are quarantined (served as 410, repairable by
+// torn tail), and every subsequent mutation is journaled with an fsync
+// before it is acknowledged. Layer files that fail their digest check
+// during recovery are quarantined (served as 410, repairable by
 // re-push) rather than aborting startup — a self-healing open.
 func OpenDurable(dir string, opts DurableOptions) (*Store, OpenReport, error) {
 	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 128
+		opts.CompactEvery = defaultCompactEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, OpenReport{}, err
 	}
 	var report OpenReport
 	s := NewStore()
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); err == nil {
-		loaded, err := loadSnapshot(dir, false)
-		if err != nil {
-			return nil, OpenReport{}, err
-		}
-		s = loaded
-		report.SnapshotEntries = len(s.meta)
+	n, err := s.loadSnapshot(dir)
+	if err != nil {
+		return nil, OpenReport{}, err
 	}
+	report.SnapshotEntries = n
 	w, replay, err := openWAL(dir)
 	if err != nil {
 		return nil, OpenReport{}, err
 	}
 	for _, rec := range replay.Records {
-		s.applyWALRecord(dir, rec)
+		s.applyWALRecord(rec)
+	}
+	if err := s.loadLayers(dir); err != nil {
+		w.close()
+		return nil, OpenReport{}, err
 	}
 	report.JournalRecords = len(replay.Records)
 	report.TornBytes = replay.TornBytes
@@ -82,16 +90,15 @@ func OpenDurable(dir string, opts DurableOptions) (*Store, OpenReport, error) {
 	s.dir = dir
 	s.wal = w
 	s.compactEvery = opts.CompactEvery
+	s.pending = w.records
 	// A long journal at open means the last run never compacted; fold it
 	// into the snapshot now so replay stays cheap.
-	if s.compactEvery > 0 && w.records >= s.compactEvery {
-		s.pmu.Lock()
-		err := s.compactLocked()
-		s.pmu.Unlock()
-		if err != nil {
-			w.close()
-			return nil, OpenReport{}, err
-		}
+	s.pmu.Lock()
+	err = s.compactIfDueLocked()
+	s.pmu.Unlock()
+	if err != nil {
+		w.close()
+		return nil, OpenReport{}, err
 	}
 	return s, report, nil
 }
@@ -121,327 +128,243 @@ func (s *Store) Durable() bool {
 	return s.wal != nil
 }
 
-// Compact folds the journal into a fresh snapshot immediately.
+// Compact removes the layers no manifest references and, on a durable
+// store, folds the journal into a fresh snapshot.
 func (s *Store) Compact() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if s.wal == nil {
-		return fmt.Errorf("hub: store is not durable")
-	}
 	return s.compactLocked()
 }
 
-// compactLocked writes a snapshot and resets the journal. Caller holds
-// pmu. Crash ordering: the snapshot replaces index.json atomically
-// first; a crash before the journal reset merely replays records the
-// snapshot already contains, which is idempotent.
+// mutatedLocked counts one acknowledged mutation and compacts once
+// compactEvery of them have accumulated. Caller holds pmu.
+func (s *Store) mutatedLocked() error {
+	s.pending++
+	return s.compactIfDueLocked()
+}
+
+func (s *Store) compactIfDueLocked() error {
+	if s.compactEvery > 0 && s.pending >= s.compactEvery {
+		return s.compactLocked()
+	}
+	return nil
+}
+
+// compactLocked drops unreferenced layers, then on durable stores
+// writes a snapshot, resets the journal and deletes the layer files the
+// snapshot no longer references. Caller holds pmu. Crash ordering: the
+// snapshot replaces index.json atomically first; a crash before the
+// journal reset merely replays records the snapshot already contains,
+// which is idempotent.
 func (s *Store) compactLocked() error {
-	if err := s.writeSnapshot(s.dir); err != nil {
+	s.mu.Lock()
+	for d, l := range s.layers {
+		if l.refs == 0 {
+			delete(s.layers, d)
+		}
+	}
+	s.mu.Unlock()
+	s.pending = 0
+	if s.wal == nil {
+		return nil
+	}
+	if err := s.writeSnapshot(); err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {
 		return err
 	}
-	s.gcBlobs()
+	s.gcLayerFiles()
 	return nil
 }
 
-// gcBlobs removes content-addressed blob files no live entry references
-// (best effort — a leaked blob wastes space but harms nothing).
-func (s *Store) gcBlobs() {
-	s.mu.RLock()
-	live := make(map[string]bool, len(s.digest))
-	for _, d := range s.digest {
-		live[blobFileName(d)] = true
-	}
-	s.mu.RUnlock()
-	entries, err := os.ReadDir(s.dir)
+// gcLayerFiles removes layer files no held layer accounts for (best
+// effort — a leaked file wastes space but harms nothing).
+func (s *Store) gcLayerFiles() {
+	files, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".scif") && !live[e.Name()] {
-			os.Remove(filepath.Join(s.dir, e.Name()))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, f := range files {
+		hexDigest, ok := strings.CutSuffix(f.Name(), layerFileExt)
+		if !ok {
+			continue
+		}
+		if _, held := s.layers["sha256:"+hexDigest]; !held {
+			os.Remove(filepath.Join(s.dir, f.Name()))
 		}
 	}
 }
 
-// persistPut makes one put durable before it is applied: the blob file
-// is written (fsynced, atomically renamed) and then the journal record
-// is appended. force rewrites the blob file even if one with that name
-// exists — required when repairing a quarantined entry whose on-disk
-// copy may be the corrupt one. Caller holds pmu.
-func (s *Store) persistPut(pe persistedEntry, blob []byte, force bool) error {
-	path := filepath.Join(s.dir, pe.Blob)
-	_, statErr := os.Stat(path)
-	if force || statErr != nil {
-		if err := fsatomic.WriteFile(path, blob, 0o644); err != nil {
-			return fmt.Errorf("hub: saving blob %s: %w", pe.Blob, err)
+// persistLayers writes the files of m's layers that are not yet on
+// disk, or whose on-disk copy may be the corrupt one (quarantined
+// layers). It runs before the put record is journaled, so replay only
+// ever sees manifests whose layers reached the disk. Caller holds pmu.
+func (s *Store) persistLayers(m *image.Manifest) error {
+	for _, d := range m.Layers {
+		s.mu.RLock()
+		l := s.layers[d.Digest]
+		_, bad := s.quarantined[d.Digest]
+		data, onDisk := l.data, l.onDisk
+		s.mu.RUnlock()
+		if onDisk && !bad {
+			continue
 		}
+		name, err := layerFileName(d.Digest)
+		if err != nil {
+			return err
+		}
+		if err := fsatomic.WriteFile(filepath.Join(s.dir, name), data, 0o644); err != nil {
+			return fmt.Errorf("hub: saving layer %s: %w", d.Digest, err)
+		}
+		s.mu.Lock()
+		l.onDisk = true
+		s.mu.Unlock()
 	}
-	return s.wal.append(walPut, pe)
+	return nil
 }
 
 // applyWALRecord applies one replayed journal record to the in-memory
-// maps (no re-journaling). Put records re-verify their blob bytes; a
-// missing or digest-mismatched blob quarantines the entry instead of
-// failing the open.
-func (s *Store) applyWALRecord(dir string, rec walRecord) {
-	pe := rec.Entry
-	k := key(pe.Collection, pe.Container, pe.Tag)
+// state (no re-journaling). Layer bytes are not touched here: loadLayers
+// reads them once replay has settled which layers are referenced.
+func (s *Store) applyWALRecord(rec walRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch rec.Op {
 	case walPut:
-		blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
-		if err == nil {
-			if d, derr := blobDigest(blob); derr == nil && d == pe.Digest {
-				s.installEntry(k, pe.Entry, blob)
-				return
-			}
+		if rec.Image != nil && rec.Image.Manifest != nil {
+			s.setTagLocked(rec.Image.key(), rec.Image)
 		}
-		pe.Entry.Quarantined = true
-		s.installQuarantined(k, pe.Entry, nil, "journal blob failed digest verification")
 	case walDelete:
-		s.removeEntry(k)
-	case walQuarantine:
-		s.mu.Lock()
-		if e, ok := s.meta[k]; ok {
-			e.Quarantined = true
-			s.meta[k] = e
-			s.quarantined[k] = "quarantined by scrubber"
+		if rec.Image != nil {
+			s.setTagLocked(rec.Image.key(), nil)
 		}
-		s.mu.Unlock()
+	case walQuarantine:
+		if rec.Layer != "" {
+			s.quarantined[rec.Layer] = rec.Reason
+		}
 	case walHintAdd:
 		if rec.Hint != nil && rec.Hint.validate() == nil {
-			s.mu.Lock()
 			s.hints[rec.Hint.hintKey()] = *rec.Hint
-			s.mu.Unlock()
 		}
 	case walHintAck:
 		if rec.Hint != nil {
-			s.mu.Lock()
 			if existing, ok := s.hints[rec.Hint.hintKey()]; ok && existing.Digest == rec.Hint.Digest {
 				delete(s.hints, rec.Hint.hintKey())
 			}
-			s.mu.Unlock()
 		}
 	}
 }
 
-// installEntry replaces the in-memory state for k (clearing quarantine).
-// Layered blobs also feed the layer index here, so WAL replay and
-// snapshot loads rebuild it for free.
-func (s *Store) installEntry(k string, e Entry, blob []byte) {
-	s.mu.Lock()
-	e.Quarantined = false
-	s.blobs[k] = blob
-	s.digest[k] = e.Digest
-	s.meta[k] = e
-	delete(s.quarantined, k)
-	s.indexLayersLocked(blob)
-	s.mu.Unlock()
-}
-
-// installQuarantined installs k as quarantined content: listed, but
-// served as 410 until a re-push repairs it.
-func (s *Store) installQuarantined(k string, e Entry, blob []byte, reason string) {
-	s.mu.Lock()
-	e.Quarantined = true
-	s.blobs[k] = blob
-	s.digest[k] = e.Digest
-	s.meta[k] = e
-	s.quarantined[k] = reason
-	s.mu.Unlock()
-}
-
-// removeEntry drops k from the in-memory maps.
-func (s *Store) removeEntry(k string) {
-	s.mu.Lock()
-	delete(s.blobs, k)
-	delete(s.digest, k)
-	delete(s.meta, k)
-	delete(s.quarantined, k)
-	s.mu.Unlock()
-}
-
-// Save writes a snapshot of the store's contents to dir (created if
-// needed). Blobs are content-addressed by digest, so repeated saves
-// rewrite only the index and any new blobs. On a durable store prefer
-// Compact, which also resets the journal.
-func (s *Store) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return s.writeSnapshot(dir)
-}
-
-// writeSnapshot writes every blob file plus the index, atomically.
-func (s *Store) writeSnapshot(dir string) error {
+// writeSnapshot writes the index atomically: tags, quarantine marks and
+// hints, each in a deterministic order.
+func (s *Store) writeSnapshot() error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var index []persistedEntry
-	for k, e := range s.meta {
-		blobName := blobFileName(s.digest[k])
-		if !e.Quarantined {
-			if _, err := os.Stat(filepath.Join(dir, blobName)); err != nil {
-				if err := fsatomic.WriteFile(filepath.Join(dir, blobName), s.blobs[k], 0o644); err != nil {
-					return fmt.Errorf("hub: saving blob %s: %w", blobName, err)
-				}
-			}
-		}
-		index = append(index, persistedEntry{Entry: e, Blob: blobName})
+	snap := snapshot{Quarantined: map[string]string{}}
+	for _, t := range s.tags {
+		snap.Tags = append(snap.Tags, t)
 	}
-	// Deterministic index order.
-	for i := 1; i < len(index); i++ {
-		for j := i; j > 0 && indexLess(index[j], index[j-1]); j-- {
-			index[j], index[j-1] = index[j-1], index[j]
-		}
+	for d, reason := range s.quarantined {
+		snap.Quarantined[d] = reason
 	}
-	data, err := json.MarshalIndent(index, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Hints are durable state too: compaction erases their journal
-	// records, so the snapshot must carry them. Sorted for determinism.
-	hints := make([]Hint, 0, len(s.hints))
 	for _, h := range s.hints {
-		hints = append(hints, h)
+		snap.Hints = append(snap.Hints, h)
 	}
-	sort.Slice(hints, func(i, j int) bool { return hints[i].hintKey() < hints[j].hintKey() })
-	hintData, err := json.MarshalIndent(hints, "", "  ")
+	s.mu.RUnlock()
+	sort.Slice(snap.Tags, func(i, j int) bool { return snap.Tags[i].key() < snap.Tags[j].key() })
+	sort.Slice(snap.Hints, func(i, j int) bool { return snap.Hints[i].hintKey() < snap.Hints[j].hintKey() })
+	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
-		return err
-	}
-	if err := fsatomic.WriteFile(filepath.Join(dir, hintsFile), hintData, 0o644); err != nil {
 		return err
 	}
 	// fsatomic (tmp + fsync + rename + dir sync) guarantees a crash mid-
-	// save leaves either the previous index or the new one, never a torn
-	// file — the blobs above get the same treatment, so a restored index
-	// never points at a half-written blob.
-	return fsatomic.WriteFile(filepath.Join(dir, indexFile), data, 0o644)
+	// write leaves either the previous index or the new one, never a
+	// torn file; layer files were made durable before the records that
+	// reference them.
+	return fsatomic.WriteFile(filepath.Join(s.dir, indexFile), data, 0o644)
 }
 
-func indexLess(a, b persistedEntry) bool {
-	if a.Collection != b.Collection {
-		return a.Collection < b.Collection
-	}
-	if a.Container != b.Container {
-		return a.Container < b.Container
-	}
-	return a.Tag < b.Tag
-}
-
-func blobFileName(digest string) string {
-	return strings.TrimPrefix(digest, "sha256:") + ".scif"
-}
-
-// loadSnapshot restores a store from dir's index. In strict mode any
-// unreadable or digest-mismatched blob is an error; in lenient mode it
-// is quarantined and the load continues.
-func loadSnapshot(dir string, strict bool) (*Store, error) {
+// loadSnapshot restores dir's index into the empty store s, returning
+// the number of tags it held (0 when there is no index yet).
+func (s *Store) loadSnapshot(dir string) (int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("hub: reading index: %w", err)
+		return 0, fmt.Errorf("hub: reading index: %w", err)
 	}
-	var index []persistedEntry
-	if err := json.Unmarshal(data, &index); err != nil {
-		return nil, fmt.Errorf("hub: corrupt index: %w", err)
-	}
-	s := NewStore()
-	for _, pe := range index {
-		if strings.Contains(pe.Blob, "/") || strings.Contains(pe.Blob, "..") {
-			return nil, fmt.Errorf("hub: suspicious blob path %q in index", pe.Blob)
-		}
-		k := key(pe.Collection, pe.Container, pe.Tag)
-		if pe.Entry.Quarantined {
-			s.installQuarantined(k, pe.Entry, nil, "quarantined in snapshot")
-			continue
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, pe.Blob))
-		if err != nil {
-			if strict {
-				return nil, fmt.Errorf("hub: reading blob for %s/%s:%s: %w", pe.Collection, pe.Container, pe.Tag, err)
-			}
-			s.installQuarantined(k, pe.Entry, nil, "snapshot blob unreadable")
-			continue
-		}
-		digest, err := blobDigest(blob)
-		if err != nil || digest != pe.Digest {
-			if strict {
-				if err != nil {
-					return nil, fmt.Errorf("hub: restoring %s/%s:%s: %w", pe.Collection, pe.Container, pe.Tag, err)
-				}
-				return nil, fmt.Errorf("hub: blob for %s/%s:%s has digest %s, index says %s (corruption)",
-					pe.Collection, pe.Container, pe.Tag, digest, pe.Digest)
-			}
-			s.installQuarantined(k, pe.Entry, nil, "snapshot blob failed digest verification")
-			continue
-		}
-		s.installEntry(k, pe.Entry, blob)
-	}
-	loadHints(s, dir)
-	return s, nil
-}
-
-// loadHints restores hints.json into the store (lenient in every mode:
-// hints are recoverable metadata — a peer re-detecting a down owner
-// recreates them — so an unreadable file never fails a load).
-func loadHints(s *Store, dir string) {
-	raw, err := os.ReadFile(filepath.Join(dir, hintsFile))
-	if err != nil {
-		return
-	}
-	var hints []Hint
-	if err := json.Unmarshal(raw, &hints); err != nil {
-		return
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return 0, fmt.Errorf("hub: corrupt index: %w", err)
 	}
 	s.mu.Lock()
-	for _, h := range hints {
+	defer s.mu.Unlock()
+	for i := range snap.Tags {
+		if snap.Tags[i].Manifest == nil {
+			return 0, fmt.Errorf("hub: corrupt index: %s has no manifest", snap.Tags[i].key())
+		}
+		s.setTagLocked(snap.Tags[i].key(), &snap.Tags[i])
+	}
+	for d, reason := range snap.Quarantined {
+		s.quarantined[d] = reason
+	}
+	// Hints are recoverable metadata (a peer re-detecting a down owner
+	// recreates them), so an invalid one is skipped, never fatal.
+	for _, h := range snap.Hints {
 		if h.validate() == nil {
 			s.hints[h.hintKey()] = h
 		}
 	}
-	s.mu.Unlock()
+	return len(snap.Tags), nil
 }
 
-// Load restores a store from a directory written by Save. Every blob is
-// digest-verified on the way in; corruption is reported, not silently
-// served. If a journal is present its records are replayed read-only
-// (lenient — journal corruption quarantines, never fails the load).
-func Load(dir string) (*Store, error) {
-	s, err := loadSnapshot(dir, true)
-	if err != nil {
-		return nil, err
+// loadLayers reads and re-verifies the file of every layer the tags
+// reference, settling reference counts; a missing or corrupt file
+// quarantines its layer. Quarantine marks of layers nothing references
+// any more are dropped, as a live store drops them on release.
+func (s *Store) loadLayers(dir string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	refs := map[string]int{}
+	for _, t := range s.tags {
+		for _, d := range t.Manifest.Layers {
+			refs[d.Digest]++
+		}
 	}
-	replayInto(s, dir)
-	return s, nil
+	for d := range s.quarantined {
+		if refs[d] == 0 {
+			delete(s.quarantined, d)
+		}
+	}
+	for d, n := range refs {
+		name, err := layerFileName(d)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || layerContentDigest(data) != d {
+			if _, already := s.quarantined[d]; !already {
+				s.quarantined[d] = "layer file failed digest verification"
+			}
+		}
+		s.layers[d] = &storedLayer{data: data, refs: n, onDisk: err == nil}
+	}
+	return nil
 }
 
-// replayInto applies dir's journal (if any) to s without mutating the
-// journal file — the read-only counterpart of OpenDurable's replay.
-func replayInto(s *Store, dir string) {
-	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
-	if err != nil || len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != string(walMagic) {
-		return
-	}
-	recs, _, _ := decodeWALRecords(raw[len(walMagic):])
-	for _, rec := range recs {
-		s.applyWALRecord(dir, rec)
-	}
-}
+// layerFileExt names layer files: <hex digest>.layer.
+const layerFileExt = ".layer"
 
-// LoadOrNew loads a store from dir if a snapshot or journal exists
-// there, otherwise returns an empty store (first run).
-func LoadOrNew(dir string) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); err == nil {
-		return Load(dir)
-	} else if !os.IsNotExist(err) {
-		return nil, err
+var layerDigestRE = regexp.MustCompile(`^sha256:[0-9a-f]{64}$`)
+
+// layerFileName maps a layer digest to its file name, refusing anything
+// that is not a well-formed digest (a path in disguise).
+func layerFileName(digest string) (string, error) {
+	if !layerDigestRE.MatchString(digest) {
+		return "", fmt.Errorf("hub: suspicious layer digest %q", digest)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walFileName)); err == nil {
-		s := NewStore()
-		replayInto(s, dir)
-		return s, nil
-	}
-	return NewStore(), nil
+	return strings.TrimPrefix(digest, "sha256:") + layerFileExt, nil
 }

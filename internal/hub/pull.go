@@ -15,21 +15,23 @@ import (
 	"repro/internal/image"
 )
 
-// Client-side streaming pull: the body is consumed incrementally in
-// digest-framed chunks (the manifest arrives in response headers, see
+// Client-side pull: fetch the tag's manifest, then every layer not
+// already in the client's LayerCache, and reassemble — verifying each
+// layer's digest and the flattened image digest. Every fetch streams in
+// digest-framed chunks (the chunk list arrives in response headers, see
 // stream.go), the response-size cap is enforced as bytes arrive, and
-// verified chunks survive a failed attempt — the next attempt sends a
+// verified chunks survive a failed attempt: the next attempt sends a
 // Range request from the last verified chunk boundary instead of
-// re-pulling from byte zero. PullToFile additionally spools verified
-// bytes to disk so a pull interrupted across process restarts resumes
-// too.
+// re-pulling from byte zero. PullToFile additionally spools each layer's
+// verified bytes to disk, so a pull interrupted across process restarts
+// resumes too.
 
-// pullProgress is the cross-attempt state of one pull operation.
+// pullProgress is the cross-attempt state of one fetch.
 type pullProgress struct {
-	adv       string   // advertised image digest (pinned on first response)
+	adv       string   // advertised digest (pinned on first response)
 	chunkSize int      // framing granularity from the server
-	chunks    []string // full-blob chunk digest list
-	total     int      // full blob size (-1 until known)
+	chunks    []string // the whole body's chunk digest list
+	total     int      // whole body size (-1 until known)
 	buf       []byte   // verified bytes (always chunk-aligned or complete)
 	verified  int      // number of verified chunks in buf
 	spool     *pullSpool
@@ -42,17 +44,15 @@ func (st *pullProgress) reset() {
 	}
 }
 
-// absorb verifies one completed chunk against the manifest and commits
+// absorb verifies one completed chunk against the chunk list and commits
 // it to the verified prefix (and the spool, when present).
 func (st *pullProgress) absorb(chunk []byte) error {
-	if st.chunks != nil {
-		if st.verified >= len(st.chunks) {
-			return fmt.Errorf("%w: body longer than chunk manifest (%d chunks)", ErrCorrupt, len(st.chunks))
-		}
-		sum := sha256.Sum256(chunk)
-		if hex.EncodeToString(sum[:]) != st.chunks[st.verified] {
-			return fmt.Errorf("%w: chunk %d/%d failed digest verification", ErrCorrupt, st.verified+1, len(st.chunks))
-		}
+	if st.verified >= len(st.chunks) {
+		return fmt.Errorf("%w: body longer than its chunk list (%d chunks)", ErrCorrupt, len(st.chunks))
+	}
+	sum := sha256.Sum256(chunk)
+	if hex.EncodeToString(sum[:]) != st.chunks[st.verified] {
+		return fmt.Errorf("%w: chunk %d/%d failed digest verification", ErrCorrupt, st.verified+1, len(st.chunks))
 	}
 	st.buf = append(st.buf, chunk...)
 	st.verified++
@@ -64,40 +64,34 @@ func (st *pullProgress) absorb(chunk []byte) error {
 	return nil
 }
 
-// complete reports whether every byte (and chunk) has been verified. With
-// no framing information at all (legacy server, chunked encoding), a
-// clean EOF is the only end-of-body signal and the whole-image digest
-// check is the integrity gate — so nothing more is owed.
+// complete reports whether every byte (and chunk) has been verified.
 func (st *pullProgress) complete() bool {
 	if st.total >= 0 {
 		return len(st.buf) == st.total
 	}
-	if st.chunks != nil {
-		return st.verified == len(st.chunks)
-	}
-	return true
+	return st.verified == len(st.chunks)
 }
 
-// Pull downloads an image and verifies its digest against the server's
-// advertised value (and, when expectedDigest is non-empty, against
-// that). The body streams through chunk-level digest checks with the
-// response cap enforced incrementally; truncated transfers resume from
-// the last verified chunk on the next attempt, and corrupt chunks are
-// re-pulled once (a second corruption means the stored content is bad).
+// Pull downloads an image and verifies it against the digest its
+// manifest advertises (and, when expectedDigest is non-empty, against
+// that): the manifest first, then only the layers the client's layer
+// cache lacks. Truncated transfers resume from the last verified chunk
+// on the next attempt, and a corrupt manifest or layer is re-pulled
+// once (a second corruption means the stored content is bad).
 func (c *Client) Pull(coll, name, tag, expectedDigest string) (*image.Image, string, error) {
-	return c.pull(coll, name, tag, expectedDigest, nil)
+	return c.pull(coll, name, tag, expectedDigest, "")
 }
 
 // PullToFile pulls coll/name:tag into destPath (written atomically) and
-// returns the digest. Partial progress is spooled next to destPath
-// (".partial"/".pullstate" suffixes); if a previous PullToFile of the
-// same content was interrupted — even in another process — the pull
-// resumes from the spooled verified offset, then the spool is removed.
+// returns the digest. Each layer's partial
+// progress is spooled next to destPath ("<dest>.<layer hex>.partial" and
+// ".pullstate"); if a previous PullToFile was interrupted mid-layer —
+// even in another process — that layer resumes from the spooled
+// verified offset, and its spool is removed once the layer verifies.
 func (c *Client) PullToFile(coll, name, tag, expectedDigest, destPath string) (string, error) {
-	spool := &pullSpool{dataPath: destPath + ".partial", statePath: destPath + ".pullstate"}
-	img, digest, err := c.pull(coll, name, tag, expectedDigest, spool)
+	img, digest, err := c.pull(coll, name, tag, expectedDigest, destPath)
 	if err != nil {
-		return "", err // spool files stay behind for the next run to resume
+		return "", err // layer spools stay behind for the next run to resume
 	}
 	blob, err := img.Marshal()
 	if err != nil {
@@ -106,22 +100,95 @@ func (c *Client) PullToFile(coll, name, tag, expectedDigest, destPath string) (s
 	if err := fsatomic.WriteFile(destPath, blob, 0o644); err != nil {
 		return "", err
 	}
-	spool.remove()
 	return digest, nil
 }
 
-func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) (*image.Image, string, error) {
-	op := fmt.Sprintf("pull %s/%s:%s", coll, name, tag)
-	url := fmt.Sprintf("%s/v1/%s/%s/%s", c.BaseURL, coll, name, tag)
+// pull fetches the manifest and the uncached layers and reassembles the
+// image. A non-empty spoolDest spools each layer fetch beside that path.
+func (c *Client) pull(coll, name, tag, expectedDigest, spoolDest string) (*image.Image, string, error) {
+	var m *image.Manifest
+	st := &pullProgress{total: -1}
+	url := fmt.Sprintf("%s/v1/%s/%s/%s/manifest", c.BaseURL, coll, name, tag)
+	err := c.fetch("pull "+key(coll, name, tag), url, st, expectedDigest, func(body []byte) error {
+		got, err := image.ParseManifest(body)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if got.ImageDigest != st.adv {
+			return fmt.Errorf("%w: advertised digest %s != manifest digest %s", ErrCorrupt, st.adv, got.ImageDigest)
+		}
+		m = got
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	layers := make([]*image.Layer, len(m.Layers))
+	for i, desc := range m.Layers {
+		if l, ok := c.layerCache.get(desc.Digest); ok {
+			c.obs.Inc("hub_client_layer_cache_hits_total")
+			layers[i] = l
+			continue
+		}
+		var spool *pullSpool
+		if spoolDest != "" {
+			hexDigest := strings.TrimPrefix(desc.Digest, "sha256:")
+			spool = &pullSpool{
+				dataPath:  spoolDest + "." + hexDigest + ".partial",
+				statePath: spoolDest + "." + hexDigest + ".pullstate",
+			}
+		}
+		l, err := c.pullLayer(desc.Digest, spool)
+		if err != nil {
+			return nil, "", err
+		}
+		c.layerCache.add(l)
+		layers[i] = l
+	}
+	img, err := image.AssembleFromLayers(m.Config, layers)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if err := img.VerifyDigest(m.ImageDigest); err != nil {
+		return nil, "", fmt.Errorf("%w: reassembled image: %v", ErrCorrupt, err)
+	}
+	return img, m.ImageDigest, nil
+}
+
+// pullLayer downloads and decodes one layer, resuming from spool's
+// verified offset when a spool is given.
+func (c *Client) pullLayer(digest string, spool *pullSpool) (*image.Layer, error) {
 	st := &pullProgress{total: -1, spool: spool}
 	if spool != nil {
-		spool.restore(st, expectedDigest)
+		spool.restore(st, digest)
 	}
-	var (
-		img        *image.Image
-		advertised string
-	)
-	err := c.do(op, func() (*http.Request, error) {
+	var layer *image.Layer
+	err := c.fetch("pulllayer "+digest, c.BaseURL+"/v1/_layers/"+digest, st, digest, func(body []byte) error {
+		l, err := image.DecodeLayer(body)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if l.Digest() != digest {
+			return fmt.Errorf("%w: pulled layer digest %s != %s", ErrCorrupt, l.Digest(), digest)
+		}
+		layer = l
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	spool.discard()
+	c.obs.Inc("hub_client_layers_pulled_total")
+	c.obs.Add("hub_client_layer_bytes_pulled_total", float64(layer.Size()))
+	return layer, nil
+}
+
+// fetch GETs one chunk-framed body through the retry loop, resuming from
+// the last verified chunk across attempts, and hands the complete
+// verified body to accept. A body accept rejects is fetched afresh by
+// the next attempt.
+func (c *Client) fetch(op, url string, st *pullProgress, expectedDigest string, accept func(body []byte) error) error {
+	return c.do(op, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {
 			return nil, err
@@ -133,29 +200,20 @@ func (c *Client) pull(coll, name, tag, expectedDigest string, spool *pullSpool) 
 		}
 		return req, nil
 	}, func(resp *http.Response) error {
-		blob, err := c.readPull(st, resp, expectedDigest)
+		body, err := c.readPull(st, resp, expectedDigest)
 		if err != nil {
 			return err
 		}
-		got, err := image.Unmarshal(blob)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if err := accept(body); err != nil {
+			st.reset()
+			return err
 		}
-		if err := got.VerifyDigest(st.adv); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		c.obs.Add("hub_client_bytes_pulled_total", float64(len(blob)))
-		img, advertised = got, st.adv
 		return nil
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	return img, advertised, nil
 }
 
 // readPull consumes one pull response incrementally, returning the
-// complete verified blob or an error classified for the retry loop
+// complete verified body or an error classified for the retry loop
 // (transient read faults resume; chunk mismatches are ErrCorrupt).
 func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest string) ([]byte, error) {
 	adv := resp.Header.Get(headerDigest)
@@ -182,17 +240,13 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		chunks = strings.Split(v, ",")
 	}
 	if chunks == nil {
-		// No manifest (legacy server): partial bytes cannot be chunk-
-		// verified, so each attempt starts fresh and the whole-image
-		// digest check is the only integrity gate.
-		st.reset()
-		st.adv = adv
-	} else if st.chunks != nil && !equalStrings(st.chunks, chunks) {
-		st.reset()
-		return nil, fmt.Errorf("hub: chunk manifest changed during pull")
-	} else {
-		st.chunkSize, st.chunks = chunkSize, chunks
+		return nil, fmt.Errorf("%w: response carries no chunk digests", ErrCorrupt)
 	}
+	if st.chunks != nil && !equalStrings(st.chunks, chunks) {
+		st.reset()
+		return nil, fmt.Errorf("hub: chunk list changed during pull")
+	}
+	st.chunkSize, st.chunks = chunkSize, chunks
 
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
@@ -221,9 +275,6 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 	}
 
 	effChunk := st.chunkSize
-	if effChunk <= 0 {
-		effChunk = DefaultChunkSize
-	}
 	var pending []byte
 	rbuf := make([]byte, 32<<10)
 	for {
@@ -255,7 +306,7 @@ func (c *Client) readPull(st *pullProgress, resp *http.Response, expectedDigest 
 		if st.total >= 0 && len(st.buf)+len(pending) != st.total {
 			return nil, io.ErrUnexpectedEOF
 		}
-		if st.chunks != nil && st.verified != len(st.chunks)-1 {
+		if st.verified != len(st.chunks)-1 {
 			return nil, io.ErrUnexpectedEOF
 		}
 		if err := st.absorb(pending); err != nil {
@@ -403,6 +454,3 @@ func (p *pullSpool) discard() {
 	os.Remove(p.dataPath)
 	os.Remove(p.statePath)
 }
-
-// remove cleans up after a completed pull.
-func (p *pullSpool) remove() { p.discard() }

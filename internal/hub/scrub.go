@@ -8,44 +8,49 @@ import (
 	"repro/internal/rng"
 )
 
-// Integrity scrubbing: a background loop re-hashes every stored blob on
-// a jittered interval and quarantines entries whose bytes no longer
-// match their recorded digest (bit-rot, torn writes that slipped past
-// recovery, hostile edits). Quarantined content is served as 410 Gone
-// with a typed error until a re-push repairs it; on durable stores the
-// quarantine is journaled so it survives restarts. Metrics land in the
-// hub_scrub_* family.
+// Integrity scrubbing: a background loop re-hashes every referenced
+// layer on a jittered interval and quarantines layers whose bytes no
+// longer match their digest (bit-rot, torn writes that slipped past
+// recovery, hostile edits). Every tag listing a quarantined layer is
+// served as 410 Gone with a typed error until a push uploads the layer
+// again; on durable stores the quarantine is journaled so it survives
+// restarts. Metrics land in the hub_scrub_* family.
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
-	Checked     int      // entries whose bytes were re-hashed
-	Corrupt     int      // entries newly quarantined this pass
-	Quarantined []string // keys ("coll/name:tag") newly quarantined
-	Skipped     int      // entries already in quarantine (not re-checked)
+	Checked     int      // layers whose bytes were re-hashed
+	Corrupt     int      // layers newly quarantined this pass
+	Quarantined []string // digests of the layers newly quarantined
+	Skipped     int      // layers already in quarantine (not re-checked)
 }
 
-// ScrubOnce re-hashes every stored blob now, quarantining mismatches.
-// It is deterministic given the store contents, so chaos tests can
-// assert exactly which entries a corruption flips. reg may be nil.
+// ScrubOnce re-hashes every referenced layer now, quarantining
+// mismatches. It is deterministic given the store contents, so chaos
+// tests can assert exactly which layers a corruption flips. reg may be
+// nil.
 func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 	s.mu.RLock()
-	keys := make([]string, 0, len(s.meta))
-	for k := range s.meta {
-		keys = append(keys, k)
+	digests := make([]string, 0, len(s.layers))
+	for d, l := range s.layers {
+		if l.refs > 0 {
+			digests = append(digests, d)
+		}
 	}
 	s.mu.RUnlock()
-	sort.Strings(keys)
+	sort.Strings(digests)
 
 	var report ScrubReport
-	for _, k := range keys {
+	for _, d := range digests {
 		s.mu.RLock()
-		blob, ok := s.blobs[k]
-		want := s.digest[k]
-		_, already := s.quarantined[k]
-		e, metaOK := s.meta[k]
+		l, ok := s.layers[d]
+		var data []byte
+		if ok {
+			data = l.data
+		}
+		_, already := s.quarantined[d]
 		s.mu.RUnlock()
-		if !ok || !metaOK {
-			continue // deleted since the key snapshot
+		if !ok {
+			continue // released and compacted since the digest snapshot
 		}
 		if already {
 			report.Skipped++
@@ -53,73 +58,78 @@ func (s *Store) ScrubOnce(reg *obs.Registry) ScrubReport {
 		}
 		report.Checked++
 		reg.Inc("hub_scrub_blobs_checked_total")
-		got, err := blobDigest(blob)
-		if err == nil && got == want {
+		if layerContentDigest(data) == d {
 			continue
 		}
-		reason := "stored bytes failed digest verification"
-		if err != nil {
-			reason = "stored bytes unparsable: " + err.Error()
-		}
-		s.quarantine(k, e, reason)
+		s.quarantine(d, "stored bytes failed digest verification")
 		report.Corrupt++
-		report.Quarantined = append(report.Quarantined, k)
+		report.Quarantined = append(report.Quarantined, d)
 		reg.Inc("hub_scrub_corrupt_total")
 	}
 	reg.Inc("hub_scrub_runs_total")
-	s.mu.RLock()
-	reg.Set("hub_scrub_quarantined", float64(len(s.quarantined)))
-	s.mu.RUnlock()
+	reg.Set("hub_scrub_quarantined", float64(s.QuarantinedCount()))
 	return report
 }
 
-// FlipBit flips one bit of the stored blob for (coll, name, tag) in
-// place — the storage-side analogue of faultinject's wire-level
+// FlipBit flips one bit of the layer bytes stored for (coll, name, tag)
+// in place — the storage-side analogue of faultinject's wire-level
 // corruption, for chaos tests that simulate bit-rot the scrubber must
-// catch. The bit index wraps around the blob length, so any value picks
-// a valid bit deterministically. Like real rot, the mutation is
-// invisible until the next scrub or digest-verified read; it bypasses
-// the journal on durable stores (rot is not a mutation the WAL saw).
-// Returns false for an unknown or empty entry.
+// catch. The bit index wraps around the concatenation of the tag's
+// layers, so any value picks a valid bit deterministically. Like real
+// rot, the mutation is invisible until the next scrub or verified read;
+// it bypasses the journal and the layer files on durable stores (rot is
+// not a mutation the WAL saw). Returns false for an unknown or empty
+// entry.
 func (s *Store) FlipBit(coll, name, tag string, bit int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key(coll, name, tag)
-	blob, ok := s.blobs[k]
-	if !ok || len(blob) == 0 {
+	t, ok := s.tags[key(coll, name, tag)]
+	if !ok {
 		return false
 	}
-	// Mutate a copy: layer-index frames alias the original blob, and
-	// real rot on a blob file would not rewrite them either.
-	mutated := append([]byte(nil), blob...)
-	bit %= len(mutated) * 8
-	if bit < 0 {
-		bit += len(mutated) * 8
+	total := 0
+	for _, d := range t.Manifest.Layers {
+		total += len(s.layers[d.Digest].data) * 8
 	}
-	mutated[bit/8] ^= 1 << (bit % 8)
-	s.blobs[k] = mutated
+	if total == 0 {
+		return false
+	}
+	bit %= total
+	if bit < 0 {
+		bit += total
+	}
+	for _, d := range t.Manifest.Layers {
+		l := s.layers[d.Digest]
+		if bit >= len(l.data)*8 {
+			bit -= len(l.data) * 8
+			continue
+		}
+		// Mutate a copy: readers may hold the current slice.
+		mutated := append([]byte(nil), l.data...)
+		mutated[bit/8] ^= 1 << (bit % 8)
+		l.data = mutated
+		break
+	}
 	return true
 }
 
-// quarantine marks k as known-bad, journaling the transition on durable
-// stores so it survives restarts. The corrupt bytes are kept in memory
-// for forensics; they are never served.
-func (s *Store) quarantine(k string, e Entry, reason string) {
+// quarantine marks one layer known-bad, journaling the transition on
+// durable stores (with its reason) so it survives restarts. The corrupt
+// bytes are kept in memory for forensics; they are never served.
+func (s *Store) quarantine(digest, reason string) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	if s.wal != nil {
-		e.Quarantined = true
 		// Journal failures must not mask the quarantine: the in-memory
 		// mark still protects readers this run.
-		s.wal.append(walQuarantine, persistedEntry{Entry: e, Blob: blobFileName(e.Digest)})
+		s.wal.appendRecord(walRecord{Op: walQuarantine, Layer: digest, Reason: reason})
 	}
 	s.mu.Lock()
-	if cur, ok := s.meta[k]; ok {
-		cur.Quarantined = true
-		s.meta[k] = cur
-		s.quarantined[k] = reason
+	if l, ok := s.layers[digest]; ok && l.refs > 0 {
+		s.quarantined[digest] = reason
 	}
 	s.mu.Unlock()
+	s.mutatedLocked()
 }
 
 // Scrubber runs ScrubOnce on a jittered interval in the background.

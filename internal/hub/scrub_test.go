@@ -1,7 +1,6 @@
 package hub
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,29 +8,21 @@ import (
 	"repro/internal/rng"
 )
 
-// corruptStoredBlob flips one byte of the stored copy of coll/name:tag,
-// simulating at-rest corruption (bit rot) behind the store's back. The
-// flip lands inside marker (payload content the image digest covers),
-// not in tar padding the canonical digest ignores.
-func corruptStoredBlob(t *testing.T, s *Store, coll, name, tag, marker string) {
+// rot flips one stored bit of coll/name:tag's first layer behind the
+// store's back (bit rot at rest) and returns that layer's digest.
+func rot(t *testing.T, s *Store, coll, name, tag string) string {
 	t.Helper()
-	k := key(coll, name, tag)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.blobs[k]
-	if !ok || len(blob) == 0 {
-		t.Fatalf("no stored blob for %s", k)
+	if !s.FlipBit(coll, name, tag, 0) {
+		t.Fatalf("no stored layers for %s", key(coll, name, tag))
 	}
-	i := bytes.Index(blob, []byte(marker))
-	if i < 0 {
-		t.Fatalf("marker %q not found in stored blob for %s", marker, k)
-	}
-	blob[i] ^= 0xff
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tags[key(coll, name, tag)].Manifest.Layers[0].Digest
 }
 
 // TestScrubOnceQuarantinesExactlyTheCorruptEntry: of three stored
-// entries, flipping one byte in one of them must quarantine exactly that
-// entry and leave the others serving.
+// entries, rotting the layer of one of them must quarantine exactly that
+// layer — and so that entry — and leave the others serving.
 func TestScrubOnceQuarantinesExactlyTheCorruptEntry(t *testing.T) {
 	s := NewStore()
 	for _, n := range []string{"alpha", "beta", "gamma"} {
@@ -39,24 +30,24 @@ func TestScrubOnceQuarantinesExactlyTheCorruptEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	corruptStoredBlob(t, s, "c", "beta", "v1", "beta-payload")
+	rotted := rot(t, s, "c", "beta", "v1")
 
 	reg := obs.NewRegistry()
 	report := s.ScrubOnce(reg)
 	if report.Checked != 3 || report.Corrupt != 1 {
 		t.Errorf("report = %+v, want 3 checked / 1 corrupt", report)
 	}
-	if len(report.Quarantined) != 1 || report.Quarantined[0] != "c/beta:v1" {
-		t.Errorf("quarantined = %v, want exactly [c/beta:v1]", report.Quarantined)
+	if len(report.Quarantined) != 1 || report.Quarantined[0] != rotted {
+		t.Errorf("quarantined = %v, want exactly [%s]", report.Quarantined, rotted)
 	}
 	if _, ok := s.QuarantineReason("c", "beta", "v1"); !ok {
 		t.Error("corrupt entry not marked quarantined")
 	}
-	if _, _, ok := s.Get("c", "beta", "v1"); ok {
-		t.Error("quarantined blob still served by Get")
+	if _, _, ok := storedImage(t, s, "c", "beta", "v1"); ok {
+		t.Error("quarantined entry still served")
 	}
 	for _, n := range []string{"alpha", "gamma"} {
-		if _, _, ok := s.Get("c", n, "v1"); !ok {
+		if _, _, ok := storedImage(t, s, "c", n, "v1"); !ok {
 			t.Errorf("healthy entry %s not served", n)
 		}
 	}
@@ -81,8 +72,8 @@ func TestScrubOnceQuarantinesExactlyTheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestRepushRepairsQuarantine: pushing the original bytes again clears
-// the quarantine — even though the digest matches the recorded one, the
+// TestRepushRepairsQuarantine: pushing the original image again clears
+// the quarantine — even though the manifest matches the stored one, the
 // idempotent-put shortcut must not skip the repair.
 func TestRepushRepairsQuarantine(t *testing.T) {
 	s := NewStore()
@@ -91,7 +82,7 @@ func TestRepushRepairsQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptStoredBlob(t, s, "c", "app", "v1", "good-payload")
+	rot(t, s, "c", "app", "v1")
 	if r := s.ScrubOnce(nil); r.Corrupt != 1 {
 		t.Fatalf("scrub report = %+v", r)
 	}
@@ -106,18 +97,15 @@ func TestRepushRepairsQuarantine(t *testing.T) {
 	if _, ok := s.QuarantineReason("c", "app", "v1"); ok {
 		t.Error("quarantine not cleared by re-push")
 	}
-	got, gotD, ok := s.Get("c", "app", "v1")
-	if !ok || gotD != d {
+	// storedImage re-verifies the repaired bytes against the digest.
+	if _, gotD, ok := storedImage(t, s, "c", "app", "v1"); !ok || gotD != d {
 		t.Fatalf("repaired entry not served: ok=%v digest=%s", ok, gotD)
-	}
-	if gd, err := blobDigest(got); err != nil || gd != d {
-		t.Errorf("repaired bytes fail verification: %s, %v", gd, err)
 	}
 }
 
 // TestQuarantineSurvivesReopen: on a durable store the quarantine is
-// journaled, so a restart (journal replay, healthy blob on disk) still
-// refuses to serve the entry.
+// journaled, so a restart (journal replay, healthy layer file on disk)
+// still refuses to serve the entry.
 func TestQuarantineSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
@@ -127,9 +115,9 @@ func TestQuarantineSurvivesReopen(t *testing.T) {
 	if _, err := s.Put("c", "app", "v1", mustBlob(t, testImage("app", "v1", "payload"))); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt only the in-memory copy: the on-disk blob stays healthy, so
-	// only the journaled quarantine record can preserve the verdict.
-	corruptStoredBlob(t, s, "c", "app", "v1", "payload")
+	// Corrupt only the in-memory copy: the on-disk layer stays healthy,
+	// so only the journaled quarantine record can preserve the verdict.
+	rot(t, s, "c", "app", "v1")
 	if r := s.ScrubOnce(nil); r.Corrupt != 1 {
 		t.Fatalf("scrub report = %+v", r)
 	}
@@ -159,7 +147,7 @@ func TestQuarantineSurvivesReopen(t *testing.T) {
 	if _, ok := snap.QuarantineReason("c", "app", "v1"); !ok {
 		t.Error("quarantine lost across snapshot reopen")
 	}
-	if _, _, ok := snap.Get("c", "app", "v1"); ok {
+	if _, _, ok := storedImage(t, snap, "c", "app", "v1"); ok {
 		t.Error("quarantined entry served after snapshot reopen")
 	}
 }

@@ -34,10 +34,10 @@ func (g *slowGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 	store := NewStore()
 	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	if _, err := store.Put("c", "pepa", "latest", blob); err != nil {
+	if _, err := store.Put("c", "pepa", "latest", mustBlob(t, img)); err != nil {
 		t.Fatal(err)
 	}
+	layer := layerized(t, img)[0]
 	srv := NewServer(store)
 	reg := obs.NewRegistry()
 	srv.EnableMetrics(reg)
@@ -55,7 +55,7 @@ func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 	}
 	got := make(chan pullResult, 1)
 	go func() {
-		resp, err := http.Get("http://" + addr + "/v1/c/pepa/latest")
+		resp, err := http.Get("http://" + addr + "/v1/_layers/" + layer.Digest())
 		if err != nil {
 			got <- pullResult{err: err}
 			return
@@ -99,8 +99,8 @@ func TestShutdownDrainsSlowInflightPull(t *testing.T) {
 	if res.status != http.StatusOK {
 		t.Fatalf("in-flight pull status = %d", res.status)
 	}
-	if string(res.body) != string(blob) {
-		t.Error("in-flight pull returned a truncated or corrupt blob")
+	if string(res.body) != string(layer.Bytes()) {
+		t.Error("in-flight pull returned a truncated or corrupt layer")
 	}
 	if n := reg.Counter("hub_server_shutdowns_total", obs.L("outcome", "drained")); n != 1 {
 		t.Errorf("drained shutdowns = %v, want 1", n)
@@ -154,58 +154,53 @@ func TestShutdownWithoutListen(t *testing.T) {
 	}
 }
 
-// TestSaveSurvivesTornWriteArtifacts pins the fsatomic migration: a
-// stale tmp file from an interrupted earlier save neither corrupts a
-// later save nor leaks into the reloaded store, and the index on disk
-// is never observable half-written (the tmp is renamed into place).
+// TestSaveSurvivesTornWriteArtifacts pins the fsatomic write path: a
+// stale tmp file from an interrupted earlier snapshot or layer write
+// neither corrupts a later compaction nor leaks into the reopened store,
+// and the index on disk is never observable half-written (the tmp is
+// renamed into place).
 func TestSaveSurvivesTornWriteArtifacts(t *testing.T) {
-	store := NewStore()
-	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	if _, err := store.Put("c", "pepa", "latest", blob); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	// Simulate the debris of a crash mid-save: a torn index tmp and a
-	// torn blob tmp, as the pre-fsync scheme could leave behind.
-	if err := os.WriteFile(filepath.Join(dir, indexFile+".tmp-123"), []byte(`[{"collection":"torn`), 0o644); err != nil {
+	// Simulate the debris of a crash mid-write: a torn index tmp and a
+	// torn layer tmp.
+	if err := os.WriteFile(filepath.Join(dir, indexFile+".tmp-123"), []byte(`{"tags":[{"collection":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef.scif.tmp-9"), []byte("half a blob"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "deadbeef.layer.tmp-9"), []byte("half a layer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(dir); err != nil {
+	store := openEmpty(t, dir)
+	if _, err := store.Put("c", "pepa", "latest", mustBlob(t, testImage("pepa", "latest", "solver"))); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load after save over torn artifacts: %v", err)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := back.Get("c", "pepa", "latest"); !ok {
+	back := openEmpty(t, dir)
+	defer back.Close()
+	if _, _, ok := storedImage(t, back, "c", "pepa", "latest"); !ok {
 		t.Fatal("image lost")
 	}
-	// A fresh save leaves no tmp files of its own behind.
+	// The writes leave no tmp files of their own behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") && e.Name() != indexFile+".tmp-123" && e.Name() != "deadbeef.scif.tmp-9" {
-			t.Errorf("save leaked tmp file %s", e.Name())
+		if strings.Contains(e.Name(), ".tmp-") && e.Name() != indexFile+".tmp-123" && e.Name() != "deadbeef.layer.tmp-9" {
+			t.Errorf("write leaked tmp file %s", e.Name())
 		}
 	}
 }
 
 // TestLoadRejectsTornIndex pins recovery semantics: a torn (truncated)
-// index — possible only under the old non-durable write path — fails
-// loudly instead of silently serving a partial catalogue.
+// index fails the open loudly instead of silently serving a partial
+// catalogue.
 func TestLoadRejectsTornIndex(t *testing.T) {
-	store := NewStore()
-	img := testImage("pepa", "latest", "solver")
-	blob, _ := img.Marshal()
-	store.Put("c", "pepa", "latest", blob)
 	dir := t.TempDir()
-	if err := store.Save(dir); err != nil {
+	store := openEmpty(t, dir)
+	store.Put("c", "pepa", "latest", mustBlob(t, testImage("pepa", "latest", "solver")))
+	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
@@ -215,14 +210,16 @@ func TestLoadRejectsTornIndex(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, indexFile), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "corrupt index") {
-		t.Fatalf("Load of torn index = %v, want corrupt-index error", err)
+	if _, _, err := OpenDurable(dir, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "corrupt index") {
+		t.Fatalf("open of torn index = %v, want corrupt-index error", err)
 	}
-	// Re-saving from a live store repairs the directory.
-	if err := store.Save(dir); err != nil {
+	// Compacting the live store again repairs the directory.
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("Load after repair: %v", err)
+	back, _, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("open after repair: %v", err)
 	}
+	back.Close()
 }

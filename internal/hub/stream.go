@@ -9,13 +9,14 @@ import (
 	"strings"
 )
 
-// Streaming blob delivery: blobs are served with HTTP Range support and
-// a digest-framed chunk manifest, so a client can verify the transfer
-// chunk by chunk and resume an interrupted pull from the last verified
-// chunk boundary instead of byte zero. The manifest travels in response
-// headers (one SHA-256 per fixed-size chunk of the full blob), which
-// keeps every pull a single request — resumable pulls do not perturb
-// fault-plan op sequences in chaos tests.
+// Streaming delivery: manifests and layers are served with HTTP Range
+// support and a digest-framed chunk list, so a client can verify each
+// transfer chunk by chunk — a corrupt manifest is caught exactly like a
+// corrupt layer — and resume an interrupted one from the last verified
+// chunk boundary instead of byte zero. The chunk list travels in
+// response headers (one SHA-256 per fixed-size chunk of the body),
+// which keeps every fetch a single request — resumable pulls do not
+// perturb fault-plan op sequences in chaos tests.
 
 // DefaultChunkSize is the digest-framing granularity (64 KiB).
 const DefaultChunkSize = 64 << 10
@@ -27,7 +28,6 @@ const (
 	headerChunkList   = "X-Image-Chunk-Digests"
 	headerHubError    = "X-Hub-Error"
 	hubErrQuarantined = "quarantined"
-	hubErrNotLayered  = "not-layered"
 )
 
 // chunkDigests splits blob into chunkSize pieces and returns the hex
@@ -49,15 +49,23 @@ func chunkDigests(blob []byte, chunkSize int) []string {
 	return out
 }
 
-// manifestFor returns the (memoized) chunk digest list for a stored
-// blob. The cache is keyed by content digest, so it never goes stale.
-func (s *Server) manifestFor(digest string, blob []byte) []string {
+// chunkSize returns the effective framing granularity.
+func (s *Server) chunkSize() int {
+	if s.ChunkSize <= 0 {
+		return DefaultChunkSize
+	}
+	return s.ChunkSize
+}
+
+// layerChunks returns the (memoized) chunk digest list for a layer. The
+// cache is keyed by the layer's content digest, so it never goes stale.
+func (s *Server) layerChunks(digest string, data []byte) []string {
 	s.chunkMu.Lock()
 	defer s.chunkMu.Unlock()
 	if m, ok := s.chunkCache[digest]; ok {
 		return m
 	}
-	m := chunkDigests(blob, s.ChunkSize)
+	m := chunkDigests(data, s.chunkSize())
 	s.chunkCache[digest] = m
 	return m
 }
@@ -100,39 +108,15 @@ func parseRange(h string, size int) (start, end int, ok bool, satisfiable bool) 
 	return s0, e0, true, true
 }
 
-// serveBlob answers GET /v1/{coll}/{name}/{tag}: the full blob (200) or
-// a byte range of it (206), always annotated with the image digest and
-// the chunk manifest. Quarantined content is answered with 410 Gone and
-// a typed error header — the bytes on hand are known-bad, and the fix
-// is a re-push, not a retry.
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, coll, name, tag string) {
-	blob, e, reason, ok := s.Store.view(coll, name, tag)
-	if !ok {
-		http.Error(w, "image not found", http.StatusNotFound)
-		return
-	}
-	if e.Quarantined || reason != "" {
-		w.Header().Set(headerHubError, hubErrQuarantined)
-		http.Error(w, fmt.Sprintf("content quarantined (%s); re-push to repair", reason), http.StatusGone)
-		return
-	}
-	s.serveVerified(w, r, e.Digest, blob)
-}
-
-// serveVerified streams one content-addressed blob — an image or a
-// single layer — with the digest header, chunk manifest, and Range
-// support. The chunk manifest memo is keyed by digest, so image blobs
-// and layer blobs share it safely.
-func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest string, blob []byte) {
+// serveVerified streams one body — a manifest or a layer — with the
+// digest header (the image digest for a manifest, the layer's own for a
+// layer), its chunk list, and Range support.
+func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest string, blob []byte, chunks []string) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Accept-Ranges", "bytes")
 	w.Header().Set(headerDigest, digest)
-	chunkSize := s.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
-	w.Header().Set(headerChunkSize, strconv.Itoa(chunkSize))
-	w.Header().Set(headerChunkList, strings.Join(s.manifestFor(digest, blob), ","))
+	w.Header().Set(headerChunkSize, strconv.Itoa(s.chunkSize()))
+	w.Header().Set(headerChunkList, strings.Join(chunks, ","))
 
 	start, end, ranged, satisfiable := parseRange(r.Header.Get("Range"), len(blob))
 	if !satisfiable {
@@ -148,7 +132,7 @@ func (s *Server) serveVerified(w http.ResponseWriter, r *http.Request, digest st
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end-1, len(blob)))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	// The slice is immutable once stored (Put replaces wholesale), so
-	// writing it directly streams without a per-request copy.
+	// Stored bytes are immutable (the store swaps slices, never edits
+	// them), so writing directly streams without a per-request copy.
 	w.Write(blob[start:end])
 }

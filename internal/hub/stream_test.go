@@ -2,11 +2,14 @@ package hub
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -58,9 +61,9 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
-// TestServeBlobRange exercises the raw HTTP surface: chunk manifest
-// headers on every response, 206 + Content-Range for ranged requests,
-// 416 for unsatisfiable ones.
+// TestServeBlobRange exercises the raw HTTP surface of a layer GET:
+// chunk list headers on every response, 206 + Content-Range for ranged
+// requests, 416 for unsatisfiable ones.
 func TestServeBlobRange(t *testing.T) {
 	store := NewStore()
 	srv := NewServer(store)
@@ -69,14 +72,14 @@ func TestServeBlobRange(t *testing.T) {
 	defer ts.Close()
 
 	img := testImage("app", "v1", strings.Repeat("range-payload ", 40))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("c", "app", "v1", blob)
-	if err != nil {
+	if _, err := store.Put("c", "app", "v1", mustBlob(t, img)); err != nil {
 		t.Fatal(err)
 	}
+	layer := layerized(t, img)[0]
+	blob, digest := layer.Bytes(), layer.Digest()
 
 	get := func(rangeHdr string) *http.Response {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/c/app/v1", nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/_layers/"+digest, nil)
 		if rangeHdr != "" {
 			req.Header.Set("Range", rangeHdr)
 		}
@@ -157,18 +160,18 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 	srv := NewServer(store)
 	srv.ChunkSize = 1024
 	srv.EnableFaults(faultinject.NewPlan(21,
-		faultinject.Rule{Match: "GET /v1/chaos/", Kind: faultinject.KindTruncate, First: 1},
+		faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 1},
 	))
 	rec := &rangeRecordingServer{}
 	ts := httptest.NewServer(rec.wrap(srv.Handler()))
 	defer ts.Close()
 
 	img := testImage("pepa", "latest", strings.Repeat("resumable-payload ", 400))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("chaos", "pepa", "latest", blob)
+	digest, err := store.Put("chaos", "pepa", "latest", mustBlob(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob := layerized(t, img)[0].Bytes()
 
 	c := NewClientWithOptions(ts.URL, chaosOptions(4))
 	pulled, gotDigest, err := c.Pull("chaos", "pepa", "latest", digest)
@@ -183,7 +186,8 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 	}
 
 	ranges := rec.recorded()
-	// Request for the GET: attempt 1 full (truncated), attempt 2 resumed.
+	// The layer GETs close the request sequence: attempt 1 full
+	// (truncated), attempt 2 resumed.
 	var pullRanges []string
 	for _, r := range ranges[len(ranges)-2:] {
 		pullRanges = append(pullRanges, r)
@@ -201,7 +205,7 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 	if off >= len(blob) {
 		t.Errorf("resume offset %d past blob end %d", off, len(blob))
 	}
-	log := strings.Join(c.AttemptsMatching("pull chaos/pepa:latest"), "\n")
+	log := strings.Join(c.AttemptsMatching("pulllayer "), "\n")
 	if !strings.Contains(log, fmt.Sprintf("resuming from verified offset %d", off)) {
 		t.Errorf("resume not logged:\n%s", log)
 	}
@@ -216,6 +220,9 @@ func TestPullResumesFromVerifiedChunk(t *testing.T) {
 func TestPullIncrementalCapAbort(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(headerDigest, "sha256:feedfeed")
+		// Chunks larger than the cap: only the cap can end this body.
+		w.Header().Set(headerChunkSize, strconv.Itoa(1<<20))
+		w.Header().Set(headerChunkList, strings.Repeat("0", 64))
 		fl, _ := w.(http.Flusher)
 		chunk := bytes.Repeat([]byte("x"), 8<<10)
 		for {
@@ -251,54 +258,56 @@ func TestPullIncrementalCapAbort(t *testing.T) {
 	}
 }
 
-// TestPullLegacyServerWithoutManifest: a server that advertises no chunk
-// framing still round-trips — the whole-image digest remains the gate.
-func TestPullLegacyServerWithoutManifest(t *testing.T) {
-	img := testImage("app", "v1", "legacy-payload")
-	blob := mustBlob(t, img)
-	digest, err := img.Digest()
+// TestPullRejectsUnframedResponse: a body served without chunk digests
+// cannot be verified chunk by chunk, so the pull treats it as corrupt
+// (re-pulled once) instead of trusting it.
+func TestPullRejectsUnframedResponse(t *testing.T) {
+	img := testImage("app", "v1", "unframed-payload")
+	m, err := img.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(headerDigest, digest)
-		w.Write(blob)
+		w.Header().Set(headerDigest, m.ImageDigest)
+		w.Write(body)
 	}))
 	defer ts.Close()
 
-	c := NewClientWithOptions(ts.URL, chaosOptions(2))
-	pulled, got, err := c.Pull("c", "app", "v1", digest)
-	if err != nil {
-		t.Fatal(err)
+	c := NewClientWithOptions(ts.URL, chaosOptions(4))
+	if _, _, err := c.Pull("c", "app", "v1", m.ImageDigest); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	if got != digest {
-		t.Errorf("digest = %s, want %s", got, digest)
-	}
-	if data, _ := pulled.FS.ReadFile("/payload"); string(data) != "legacy-payload" {
-		t.Errorf("payload = %q", data)
+	if log := c.AttemptsMatching("pull c/app:v1 attempt"); len(log) != 2 {
+		t.Errorf("unframed pull made %d attempts, want 2:\n%s", len(log), strings.Join(log, "\n"))
 	}
 }
 
 // TestPullToFileCrossProcessResume (tentpole acceptance): a pull that
-// dies mid-transfer leaves a spool on disk; a brand-new client — as
-// after a process restart — resumes from the spooled verified offset
-// instead of byte zero, then cleans the spool up.
+// dies mid-layer leaves that layer's spool on disk; a brand-new client —
+// as after a process restart — resumes the layer from the spooled
+// verified offset instead of byte zero, then cleans the spool up.
 func TestPullToFileCrossProcessResume(t *testing.T) {
 	store := NewStore()
 	img := testImage("pepa", "latest", strings.Repeat("spooled-payload ", 400))
-	blob := mustBlob(t, img)
-	digest, err := store.Put("chaos", "pepa", "latest", blob)
+	digest, err := store.Put("chaos", "pepa", "latest", mustBlob(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}
+	layer := layerized(t, img)[0]
+	blob := layer.Bytes()
 	dest := filepath.Join(t.TempDir(), "pepa.scif")
+	spool := dest + "." + strings.TrimPrefix(layer.Digest(), "sha256:")
 
-	// Process 1: every GET is truncated and the attempt budget is 1, so
-	// the pull fails with partial verified progress spooled.
+	// Process 1: every layer GET is truncated and the attempt budget is
+	// 1, so the pull fails with partial verified progress spooled.
 	srv1 := NewServer(store)
 	srv1.ChunkSize = 512
 	srv1.EnableFaults(faultinject.NewPlan(31,
-		faultinject.Rule{Match: "GET /v1/chaos/", Kind: faultinject.KindTruncate, First: 100},
+		faultinject.Rule{Match: "GET /v1/_layers/", Kind: faultinject.KindTruncate, First: 100},
 	))
 	ts1 := httptest.NewServer(srv1.Handler())
 	c1 := NewClientWithOptions(ts1.URL, chaosOptions(1))
@@ -306,7 +315,7 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 		t.Fatal("pull against an always-truncating server succeeded")
 	}
 	ts1.Close()
-	spooled, err := os.ReadFile(dest + ".partial")
+	spooled, err := os.ReadFile(spool + ".partial")
 	if err != nil {
 		t.Fatalf("no spool left behind: %v", err)
 	}
@@ -314,14 +323,15 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 		t.Fatalf("spool holds %d bytes, want a positive chunk-aligned partial of %d", len(spooled), len(blob))
 	}
 	if !bytes.Equal(spooled, blob[:len(spooled)]) {
-		t.Fatal("spooled bytes do not match the blob prefix")
+		t.Fatal("spooled bytes do not match the layer prefix")
 	}
-	if _, err := os.Stat(dest + ".pullstate"); err != nil {
+	if _, err := os.Stat(spool + ".pullstate"); err != nil {
 		t.Fatalf("no spool state left behind: %v", err)
 	}
 
-	// Process 2: a fresh client against a healthy server resumes from the
-	// spooled offset (observed as a Range request) and completes.
+	// Process 2: a fresh client against a healthy server resumes the
+	// layer from the spooled offset (observed as a Range request after
+	// the manifest GET) and completes.
 	srv2 := NewServer(store)
 	srv2.ChunkSize = 512
 	rec := &rangeRecordingServer{}
@@ -337,8 +347,8 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 	}
 	ranges := rec.recorded()
 	want := fmt.Sprintf("bytes=%d-", len(spooled))
-	if len(ranges) == 0 || ranges[0] != want {
-		t.Errorf("resumed request Range = %v, want [%s]", ranges, want)
+	if len(ranges) != 2 || ranges[0] != "" || ranges[1] != want {
+		t.Errorf("request Ranges = %q, want [\"\" %q] (manifest, resumed layer)", ranges, want)
 	}
 	data, err := os.ReadFile(dest)
 	if err != nil {
@@ -351,7 +361,7 @@ func TestPullToFileCrossProcessResume(t *testing.T) {
 	if err := final.VerifyDigest(digest); err != nil {
 		t.Errorf("final file fails digest verification: %v", err)
 	}
-	for _, leftover := range []string{dest + ".partial", dest + ".pullstate"} {
+	for _, leftover := range []string{spool + ".partial", spool + ".pullstate"} {
 		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
 			t.Errorf("spool file %s not cleaned up", leftover)
 		}

@@ -10,14 +10,14 @@ import (
 	"repro/internal/fsatomic"
 )
 
-// Write-ahead journal: every store mutation (put, delete, quarantine)
-// appends one fsynced, CRC-framed record to journal.wal before it is
-// acknowledged, so a crash at any instant loses at most the record being
-// written — and that record is detectably torn, not silently corrupt.
-// On open the journal is replayed on top of the last snapshot
-// (index.json); a torn or garbage tail is truncated back to the last
-// whole record. Periodic compaction rewrites the snapshot and resets the
-// journal (see persist.go).
+// Write-ahead journal: every store mutation (manifest put, delete,
+// layer quarantine, hint add/ack) appends one fsynced, CRC-framed record
+// to journal.wal before it is acknowledged, so a crash at any instant
+// loses at most the record being written — and that record is
+// detectably torn, not silently corrupt. On open the journal is
+// replayed on top of the last snapshot (index.json); a torn or garbage
+// tail is truncated back to the last whole record. Compaction rewrites
+// the snapshot and resets the journal (see persist.go).
 
 // walFileName is the journal's name within the state directory.
 const walFileName = "journal.wal"
@@ -26,9 +26,9 @@ const walFileName = "journal.wal"
 // is treated as wholly torn (zero records).
 var walMagic = []byte("SHWAL1\n")
 
-// walMaxRecord bounds a single record's payload. Records carry metadata
-// only (blob bytes live in content-addressed files), so anything larger
-// is garbage, not a record.
+// walMaxRecord bounds a single record's payload. Records carry manifests
+// and metadata only (layer bytes live in content-addressed files), so
+// anything larger is garbage, not a record.
 const walMaxRecord = 1 << 20
 
 // walOp enumerates journaled mutations.
@@ -44,15 +44,17 @@ const (
 	walHintAck walOp = "hint-ack"
 )
 
-// walRecord is one journal entry. Put records reference the
-// content-addressed blob file (written and fsynced before the record),
-// so replay can re-verify the bytes they acknowledge. Hint records carry
-// the hint instead of an entry.
+// walRecord is one journal entry. A put carries the tag and the
+// manifest it now points at (whose layer files were written and fsynced
+// before the record); a delete carries just the tag; a quarantine names
+// the layer and why; hint records carry the hint.
 type walRecord struct {
-	Seq   uint64         `json:"seq"`
-	Op    walOp          `json:"op"`
-	Entry persistedEntry `json:"entry"`
-	Hint  *Hint          `json:"hint,omitempty"`
+	Seq    uint64          `json:"seq"`
+	Op     walOp           `json:"op"`
+	Image  *taggedManifest `json:"image,omitempty"`
+	Layer  string          `json:"layer,omitempty"`
+	Reason string          `json:"reason,omitempty"`
+	Hint   *Hint           `json:"hint,omitempty"`
 }
 
 // encodeWALRecord frames a record as
@@ -172,16 +174,7 @@ func openWAL(dir string) (*wal, walReplay, error) {
 	return w, replay, nil
 }
 
-// append journals one record durably.
-func (w *wal) append(op walOp, pe persistedEntry) error {
-	return w.appendRecord(walRecord{Op: op, Entry: pe})
-}
-
-// appendHint journals one hinted-handoff mutation durably.
-func (w *wal) appendHint(op walOp, h Hint) error {
-	return w.appendRecord(walRecord{Op: op, Hint: &h})
-}
-
+// appendRecord journals one record durably.
 func (w *wal) appendRecord(rec walRecord) error {
 	w.seq++
 	rec.Seq = w.seq

@@ -3,31 +3,46 @@ package hub
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"repro/internal/image"
 )
 
-// dumpStore renders a store's full logical state (entries, digests, blob
-// bytes, quarantine marks) as one canonical string, so two stores can be
+// dumpStore renders a store's full committed state (tags, their
+// manifests, quarantine marks, and the bytes and reference counts of the
+// referenced layers) as one canonical string, so two stores can be
 // compared byte-for-byte.
 func dumpStore(s *Store) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.meta))
-	for k := range s.meta {
+	keys := make([]string, 0, len(s.tags))
+	for k := range s.tags {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b bytes.Buffer
 	for _, k := range keys {
-		e := s.meta[k]
-		sum := sha256.Sum256(s.blobs[k])
-		fmt.Fprintf(&b, "%s digest=%s size=%d blob=%s quarantined=%v reason=%q\n",
-			k, s.digest[k], e.Size, hex.EncodeToString(sum[:]), e.Quarantined, s.quarantined[k])
+		t := s.tags[k]
+		m, _ := json.Marshal(t.Manifest)
+		e := t.entry()
+		fmt.Fprintf(&b, "%s digest=%s size=%d manifest=%x quarantined=%q\n",
+			k, e.Digest, e.Size, sha256.Sum256(m), s.quarantineReasonLocked(t))
+	}
+	digests := make([]string, 0, len(s.layers))
+	for d, l := range s.layers {
+		if l.refs > 0 {
+			digests = append(digests, d)
+		}
+	}
+	sort.Strings(digests)
+	for _, d := range digests {
+		l := s.layers[d]
+		fmt.Fprintf(&b, "layer %s refs=%d data=%x quarantined=%q\n", d, l.refs, sha256.Sum256(l.data), s.quarantined[d])
 	}
 	return b.String()
 }
@@ -99,12 +114,15 @@ func TestWALCrashPointRecovery(t *testing.T) {
 	}
 
 	// Expected state per prefix length: replay the first k records into a
-	// fresh store against the same blob files.
+	// fresh store against the same layer files.
 	expect := make([]string, 4)
 	for k := 0; k <= 3; k++ {
 		ref := NewStore()
 		for _, rec := range recs[:k] {
-			ref.applyWALRecord(dir, rec)
+			ref.applyWALRecord(rec)
+		}
+		if err := ref.loadLayers(dir); err != nil {
+			t.Fatal(err)
 		}
 		expect[k] = dumpStore(ref)
 	}
@@ -188,10 +206,10 @@ func TestWALTornTailTruncatedOnDisk(t *testing.T) {
 	if !bytes.Equal(onDisk, raw2[:whole]) {
 		t.Errorf("journal after recovery is %d bytes, want the %d-byte whole-record prefix", len(onDisk), whole)
 	}
-	if _, _, ok := rec.Get("c", "n", "t"); !ok {
+	if _, _, ok := storedImage(t, rec, "c", "n", "t"); !ok {
 		t.Error("acknowledged entry lost in recovery")
 	}
-	if _, _, ok := rec.Get("c", "n2", "t"); ok {
+	if _, _, ok := storedImage(t, rec, "c", "n2", "t"); ok {
 		t.Error("torn (unacknowledged) entry survived recovery")
 	}
 }
@@ -225,7 +243,7 @@ func TestWALGarbageJournalStartsFresh(t *testing.T) {
 	if report.SnapshotEntries != 1 || report.JournalRecords != 0 {
 		t.Errorf("report = %+v", report)
 	}
-	if _, _, ok := rec.Get("c", "n", "t"); !ok {
+	if _, _, ok := storedImage(t, rec, "c", "n", "t"); !ok {
 		t.Error("snapshot entry lost")
 	}
 	onDisk, _ := os.ReadFile(filepath.Join(dir, walFileName))
@@ -235,15 +253,15 @@ func TestWALGarbageJournalStartsFresh(t *testing.T) {
 }
 
 // TestWALCompaction: crossing the CompactEvery threshold folds the
-// journal into the snapshot, resets it, and drops unreferenced blobs.
+// journal into the snapshot, resets it, and drops unreferenced layers.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-pushes of the same tag leave orphaned content-addressed blobs
-	// for compaction's GC to collect; the 4th put crosses CompactEvery.
+	// Re-pushes of the same tag release content-addressed layers for
+	// compaction to collect; the 4th put crosses CompactEvery.
 	var lastDigest string
 	for i := 0; i < 4; i++ {
 		d, err := s.Put("c", "app", "latest", mustBlob(t, testImage("app", "latest", fmt.Sprintf("v%d", i))))
@@ -259,9 +277,12 @@ func TestWALCompaction(t *testing.T) {
 	if len(onDisk) > len(walMagic)+200 {
 		t.Errorf("journal not reset by compaction: %d bytes", len(onDisk))
 	}
-	scifs, _ := filepath.Glob(filepath.Join(dir, "*.scif"))
-	if len(scifs) != 1 {
-		t.Errorf("blob GC left %d blobs, want 1: %v", len(scifs), scifs)
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+layerFileExt))
+	if len(files) != 1 {
+		t.Errorf("layer GC left %d layer files, want 1: %v", len(files), files)
+	}
+	if got := len(s.layers); got != 1 {
+		t.Errorf("compaction left %d layers in memory, want 1", got)
 	}
 	before := dumpStore(s)
 	if err := s.Close(); err != nil {
@@ -278,7 +299,7 @@ func TestWALCompaction(t *testing.T) {
 	if report.JournalRecords != 0 {
 		t.Errorf("journal not empty after Close: %d records", report.JournalRecords)
 	}
-	if _, d, ok := rec.Get("c", "app", "latest"); !ok || d != lastDigest {
+	if _, d, ok := storedImage(t, rec, "c", "app", "latest"); !ok || d != lastDigest {
 		t.Errorf("latest digest = %s, want %s", d, lastDigest)
 	}
 }
@@ -310,17 +331,17 @@ func TestWALDeleteReplay(t *testing.T) {
 	if report.JournalRecords != 3 { // 2 puts + 1 delete
 		t.Errorf("replayed %d records, want 3", report.JournalRecords)
 	}
-	if _, _, ok := rec.Get("c", "keep", "t"); !ok {
+	if _, _, ok := storedImage(t, rec, "c", "keep", "t"); !ok {
 		t.Error("kept entry missing after replay")
 	}
-	if _, _, ok := rec.Get("c", "drop", "t"); ok {
+	if _, _, ok := storedImage(t, rec, "c", "drop", "t"); ok {
 		t.Error("deleted entry resurrected by replay")
 	}
 }
 
-// TestIdempotentPutSkipsJournal (satellite): re-pushing bytes whose
-// digest matches the stored healthy entry writes nothing — no journal
-// record, no blob rewrite.
+// TestIdempotentPutSkipsJournal: re-pushing the manifest the healthy
+// entry already holds writes nothing — no journal record, no layer
+// rewrite.
 func TestIdempotentPutSkipsJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
@@ -350,8 +371,8 @@ func TestIdempotentPutSkipsJournal(t *testing.T) {
 	}
 }
 
-// TestLoadReplaysJournal: the strict Load also sees journal records laid
-// down after the last snapshot.
+// TestLoadReplaysJournal: opening sees both the snapshot and the
+// journal records laid down after it.
 func TestLoadReplaysJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(dir, DurableOptions{CompactEvery: -1})
@@ -367,13 +388,17 @@ func TestLoadReplaysJournal(t *testing.T) {
 	if _, err := s.Put("c", "tail", "t", mustBlob(t, testImage("tail", "t", "v2"))); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, report, err := OpenDurable(copyStateDir(t, dir, 1<<30), DurableOptions{CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
+	if report.SnapshotEntries != 1 || report.JournalRecords != 1 {
+		t.Errorf("report = %+v, want 1 snapshot entry and 1 journal record", report)
+	}
 	for _, n := range []string{"snap", "tail"} {
-		if _, _, ok := loaded.Get("c", n, "t"); !ok {
-			t.Errorf("entry %q missing from Load", n)
+		if _, _, ok := storedImage(t, loaded, "c", n, "t"); !ok {
+			t.Errorf("entry %q missing after open", n)
 		}
 	}
 }
@@ -382,15 +407,20 @@ func TestLoadReplaysJournal(t *testing.T) {
 // never panic, must consume a whole-record prefix only, and the prefix
 // it accepts must itself decode cleanly (recovery is a fixpoint).
 func FuzzWALReplay(f *testing.F) {
-	rec1, err := encodeWALRecord(walRecord{Seq: 1, Op: walPut, Entry: persistedEntry{
-		Entry: Entry{Collection: "c", Container: "n", Tag: "t", Digest: "sha256:abc", Size: 3},
-		Blob:  "abc.scif",
+	rec1, err := encodeWALRecord(walRecord{Seq: 1, Op: walPut, Image: &taggedManifest{
+		Collection: "c", Container: "n", Tag: "t",
+		Manifest: &image.Manifest{
+			SchemaVersion: image.ManifestSchemaVersion,
+			Config:        image.Metadata{Name: "n", Tag: "t"},
+			Layers:        []image.LayerDescriptor{{Digest: "sha256:abc", Size: 3}},
+			ImageDigest:   "sha256:def",
+		},
 	}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec2, err := encodeWALRecord(walRecord{Seq: 2, Op: walDelete, Entry: persistedEntry{
-		Entry: Entry{Collection: "c", Container: "n", Tag: "t"},
+	rec2, err := encodeWALRecord(walRecord{Seq: 2, Op: walDelete, Image: &taggedManifest{
+		Collection: "c", Container: "n", Tag: "t",
 	}})
 	if err != nil {
 		f.Fatal(err)
@@ -424,6 +454,11 @@ func FuzzWALReplay(f *testing.F) {
 		if torn2 || goodLen2 != goodLen || len(recs2) != len(recs) {
 			t.Fatalf("prefix not a fixpoint: %d/%d records, %d/%d bytes, torn %v",
 				len(recs2), len(recs), goodLen2, goodLen, torn2)
+		}
+		// Every accepted record must replay without panicking.
+		s := NewStore()
+		for _, rec := range recs {
+			s.applyWALRecord(rec)
 		}
 		// Appending a valid record to any accepted prefix must extend the
 		// decode by exactly that record.
