@@ -48,42 +48,30 @@ type experiment struct {
 	fn   func(context.Context, *state) (string, error)
 }
 
-// state carries artifacts shared between experiments (built images, hub).
+// state carries artifacts shared between experiments: the published
+// containers (built on the build host, pushed to the hub) and the hub.
 type state struct {
-	fw      *core.Framework
-	builder *hostenv.Host
-	builds  map[core.Tool]*runtime.BuildResult
-	hubSrv  *hub.Server
-	hubCli  *hub.Client
-	digests map[core.Tool]string
-	study   *robustness.Study
-	obs     *obs.Registry // nil unless -metrics-out is set
+	fw     *core.Framework
+	pub    *core.Publication
+	hubSrv *hub.Server
+	hubCli *hub.Client
+	study  *robustness.Study
+	obs    *obs.Registry // nil unless -metrics-out is set
 }
 
 func newState(ctx context.Context, reg *obs.Registry) (*state, error) {
 	st := &state{fw: core.New(), study: robustness.NewStudy(), obs: reg}
 	st.fw.SetObs(reg)
 	st.study.Obs = reg
-	var err error
-	st.builder, err = hostenv.ByName(hostenv.BuildHost)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.builder.InstallSingularity(); err != nil {
-		return nil, err
-	}
-	st.builds, err = st.fw.BuildAllCtx(ctx, st.builder)
-	if err != nil {
-		return nil, err
-	}
 	st.hubSrv = hub.NewServer(hub.NewStore())
 	addr, err := st.hubSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	st.hubCli = hub.NewClientWithOptions("http://"+addr, hub.ClientOptions{Obs: reg})
-	st.digests, err = st.fw.PushAll(st.hubCli, st.builds)
+	st.pub, err = st.fw.Publish(ctx, st.hubCli)
 	if err != nil {
+		st.hubSrv.Close()
 		return nil, err
 	}
 	return st, nil
@@ -145,7 +133,7 @@ func run() error {
 		seed := *chaosSeed
 		exps = append(exps, experiment{
 			"chaos", "resilience: Fig 6 hub pulls under injected faults",
-			func(ctx context.Context, st *state) (string, error) { return chaos(st, seed) },
+			func(ctx context.Context, st *state) (string, error) { return chaos(ctx, st, seed) },
 		})
 	}
 	for _, ex := range exps {
@@ -195,7 +183,7 @@ func table1(ctx context.Context, st *state) (string, error) {
 }
 
 func fig1(ctx context.Context, st *state) (string, error) {
-	rep, err := st.fw.Validate(core.ToolPEPA, st.builder, st.builds[core.ToolPEPA].Image,
+	rep, err := st.fw.Validate(ctx, core.ToolPEPA, st.pub.Builder, st.pub.Builds[core.ToolPEPA],
 		"simple.pepa", core.SimplePEPAModel)
 	if err != nil {
 		return "", err
@@ -239,12 +227,16 @@ func cdfFigure(ctx context.Context, st *state, mapping string) (string, error) {
 	return b.String(), nil
 }
 
-func fig3(ctx context.Context, st *state) (string, error) { return cdfFigure(ctx, st, robustness.MappingA) }
-func fig4(ctx context.Context, st *state) (string, error) { return cdfFigure(ctx, st, robustness.MappingB) }
+func fig3(ctx context.Context, st *state) (string, error) {
+	return cdfFigure(ctx, st, robustness.MappingA)
+}
+func fig4(ctx context.Context, st *state) (string, error) {
+	return cdfFigure(ctx, st, robustness.MappingB)
+}
 
 func fig5(ctx context.Context, st *state) (string, error) {
 	ex := core.ExampleModel(core.ToolGPA)
-	rep, err := st.fw.Validate(core.ToolGPA, st.builder, st.builds[core.ToolGPA].Image,
+	rep, err := st.fw.Validate(ctx, core.ToolGPA, st.pub.Builder, st.pub.Builds[core.ToolGPA],
 		ex.Name, ex.Source, ex.Args...)
 	if err != nil {
 		return "", err
@@ -271,11 +263,11 @@ func fig6(ctx context.Context, st *state) (string, error) {
 	}
 	b.WriteString("pulling each container with digest verification:\n")
 	for _, tool := range core.Tools() {
-		img, d, err := st.hubCli.Pull(st.fw.Collection, string(tool), "latest", st.digests[tool])
+		img, d, err := st.hubCli.Pull(st.fw.Collection, string(tool), "latest", st.pub.Digests[tool])
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "  pulled %s  digest-ok=%v\n", img.Ref(), d == st.digests[tool])
+		fmt.Fprintf(&b, "  pulled %s  digest-ok=%v\n", img.Ref(), d == st.pub.Digests[tool])
 	}
 	return b.String(), nil
 }
@@ -286,7 +278,7 @@ func fig6(ctx context.Context, st *state) (string, error) {
 // flip — so every transient class and the corrupt re-pull path is
 // exercised. Every digest still verifies, and the whole output
 // (decisions, attempt log, digests) is byte-identical for a fixed seed.
-func chaos(st *state, seed uint64) (string, error) {
+func chaos(ctx context.Context, st *state, seed uint64) (string, error) {
 	srv := hub.NewServer(hub.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -294,10 +286,11 @@ func chaos(st *state, seed uint64) (string, error) {
 	}
 	defer srv.Close()
 	setup := hub.NewClient("http://" + addr)
-	digests, err := st.fw.PushAll(setup, st.builds)
+	pub, err := st.fw.Publish(ctx, setup)
 	if err != nil {
 		return "", err
 	}
+	digests := pub.Digests
 	match := "GET /v1/" + st.fw.Collection + "/"
 	plan := faultinject.NewPlan(seed,
 		faultinject.Rule{Match: match, Kind: faultinject.KindConn, First: 1},
@@ -336,21 +329,11 @@ func matrix(ctx context.Context, st *state) (string, error) {
 func motivation(ctx context.Context, st *state) (string, error) {
 	var b strings.Builder
 	b.WriteString("native install of each tool from the host's own repositories:\n")
-	tools := core.Tools()
-	var hostNames []string
-	hostNames = append(hostNames, hostenv.Names()...)
+	hostNames := hostenv.Names()
 	sort.Strings(hostNames)
 	for _, hn := range hostNames {
-		for _, tool := range tools {
-			h, err := hostenv.ByName(hn)
-			if err != nil {
-				return "", err
-			}
-			pkg, err := tool.Package()
-			if err != nil {
-				return "", err
-			}
-			if err := h.NativeInstall(pkg); err != nil {
+		for _, tool := range core.Tools() {
+			if err := st.fw.NativeInstall(ctx, hn, tool); err != nil {
 				short := err.Error()
 				if i := strings.Index(short, "pkgmgr:"); i >= 0 {
 					short = short[i:]
@@ -366,7 +349,7 @@ func motivation(ctx context.Context, st *state) (string, error) {
 }
 
 func badges(ctx context.Context, st *state) (string, error) {
-	report, err := st.fw.AssessBadges(st.hubCli)
+	report, err := st.fw.AssessBadges(ctx, st.hubCli)
 	if err != nil {
 		return "", err
 	}
@@ -378,12 +361,12 @@ func badges(ctx context.Context, st *state) (string, error) {
 }
 
 func futurework(ctx context.Context, st *state) (string, error) {
-	build, err := st.fw.BuildCtx(ctx, core.ToolMC, st.builder)
+	build, err := st.fw.BuildCtx(ctx, core.ToolMC, st.pub.Builder)
 	if err != nil {
 		return "", err
 	}
 	props := "S >= 0.8 [ \"Proc\" ]\nP >= 0.5 [ F<=1 \"ProcDown\" ]\nT >= 2 [ serve ]\n"
-	rep, err := st.fw.ValidateWithFiles(core.ToolMC, st.builder, build.Image, "simple.pepa",
+	rep, err := st.fw.ValidateWithFiles(ctx, core.ToolMC, st.pub.Builder, build, "simple.pepa",
 		map[string]string{"simple.pepa": core.SimplePEPAModel, "props.csl": props}, "props.csl")
 	if err != nil {
 		return "", err
@@ -404,9 +387,9 @@ func mustDigest(b *runtime.BuildResult) string {
 
 func security(ctx context.Context, st *state) (string, error) {
 	var b strings.Builder
-	img := st.builds[core.ToolPEPA].Image
+	img := st.pub.Builds[core.ToolPEPA].Image
 	for _, iso := range []runtime.Isolation{runtime.IsolationSingularity, runtime.IsolationDocker} {
-		res, err := st.fw.Engine.Run(img, st.builder, runtime.RunOptions{
+		res, err := st.fw.Engine.Run(img, st.pub.Builder, runtime.RunOptions{
 			Isolation:         iso,
 			AttemptEscalation: true,
 			Script:            "whoami",

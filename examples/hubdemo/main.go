@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,18 +15,6 @@ import (
 
 func main() {
 	fw := core.New()
-	builder, err := hostenv.ByName(hostenv.BuildHost)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := builder.InstallSingularity(); err != nil {
-		log.Fatal(err)
-	}
-	builds, err := fw.BuildAll(builder)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	srv := hub.NewServer(hub.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -34,10 +23,11 @@ func main() {
 	defer srv.Close()
 	client := hub.NewClient("http://" + addr)
 
-	digests, err := fw.PushAll(client, builds)
+	pub, err := fw.Publish(context.Background(), client)
 	if err != nil {
 		log.Fatal(err)
 	}
+	digests := pub.Digests
 	fmt.Printf("hub at http://%s\n\ncollection %q:\n", addr, fw.Collection)
 	entries, err := client.List(fw.Collection)
 	if err != nil {

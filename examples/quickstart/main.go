@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,7 @@ func main() {
 	}
 	fmt.Printf("built container %s\n  digest %s\n", build.Image.Ref(), build.Digest)
 
-	rep, err := fw.Validate(core.ToolPEPA, host, build.Image, "quickstart.pepa", model)
+	rep, err := fw.Validate(context.Background(), core.ToolPEPA, host, build, "quickstart.pepa", model)
 	if err != nil {
 		log.Fatal(err)
 	}

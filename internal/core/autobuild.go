@@ -22,11 +22,8 @@ type HubBuilder struct {
 
 // NewHubBuilder prepares a builder on the standard build host.
 func (f *Framework) NewHubBuilder() (*HubBuilder, error) {
-	host, err := hostenv.ByName(hostenv.BuildHost)
+	host, err := readyHost(hostenv.BuildHost)
 	if err != nil {
-		return nil, err
-	}
-	if err := host.InstallSingularity(); err != nil {
 		return nil, err
 	}
 	return &HubBuilder{Engine: f.Engine, Host: host}, nil

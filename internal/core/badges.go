@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/hostenv"
 	"repro/internal/hub"
+	"repro/internal/runctx"
 )
 
 // §II.B of the paper describes the ACM artifact review and badging
@@ -79,45 +81,97 @@ func (r *BadgeReport) String() string {
 //     byte-identical to native runs (the paper's §III methodology);
 //   - Reproduced: an independent environment (a different host profile)
 //     obtains the same results from the published artifacts.
-func (f *Framework) AssessBadges(client *hub.Client) (*BadgeReport, error) {
-	report := &BadgeReport{}
-	builder, err := hostenv.ByName(hostenv.BuildHost)
+//
+// The verdicts are a pure function of the framework's shared evidence:
+// the publication for client, the build-host validations every badge
+// reads, and one digest-verified pull per tool, which also supplies the
+// independent host's runs. A canceled ctx yields a *runctx.ErrCanceled.
+func (f *Framework) AssessBadges(ctx context.Context, client *hub.Client) (*BadgeReport, error) {
+	var ev *badgeEvidence
+	err := ctx.Err()
+	if err == nil {
+		ev, err = f.badgeEvidence(ctx, client)
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		runctx.Record(f.Obs, "core.badges", cerr)
+		return nil, runctx.New("core.badges", cerr, 0, 5, "badges")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := builder.InstallSingularity(); err != nil {
-		return nil, err
-	}
-	builds, err := f.BuildAll(builder)
-	if err != nil {
-		return nil, err
-	}
-	digests, err := f.PushAll(client, builds)
-	if err != nil {
-		return nil, err
-	}
+	return ev.report(), nil
+}
 
-	// Functional.
-	functional := BadgeResult{Badge: BadgeFunctional, Earned: true}
+// userModel is the Reusable badge's model, bundled with no recipe.
+const userModel = "r = 0.7;\nU = (userwork, r).U1;\nU1 = (userrest, 1.4).U;\nU\n"
+
+// badgeEvidence is every fact the badge criteria read.
+type badgeEvidence struct {
+	tools           map[Tool]toolEvidence
+	user            *ValidationReport // the user-supplied model on the build host
+	userErr         error
+	independentHost string
+}
+
+// toolEvidence is one tool's example validated on the build host, its
+// digest-verified pull, and the example validated on the independent
+// host from the pulled image.
+type toolEvidence struct {
+	example, independent                *ValidationReport
+	exampleErr, pullErr, independentErr error
+}
+
+func (f *Framework) badgeEvidence(ctx context.Context, client *hub.Client) (*badgeEvidence, error) {
+	pub, err := f.Publish(ctx, client)
+	if err != nil {
+		return nil, err
+	}
+	independent, err := readyHost(hostenv.GCPInstance)
+	if err != nil {
+		return nil, err
+	}
+	ev := &badgeEvidence{tools: map[Tool]toolEvidence{}, independentHost: independent.Name}
 	for _, t := range Tools() {
-		ex := ExampleModel(t)
-		rep, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil || rep.ContainerOut == "" {
-			functional.Earned = false
-			functional.Evidence = append(functional.Evidence, fmt.Sprintf("%s: containerized run failed: %v", t, err))
-			continue
+		var e toolEvidence
+		b := pub.Builds[t]
+		e.example, e.exampleErr = f.validate(ctx, pub.Builder, b.Image, b.Digest, exampleRun(t))
+		img, digest, err := client.Pull(f.Collection, string(t), "latest", pub.Digests[t])
+		switch {
+		case err != nil:
+			e.pullErr = err
+		case e.exampleErr != nil:
+			return nil, e.exampleErr
+		default:
+			e.independent, e.independentErr = f.validate(ctx, independent, img, digest, exampleRun(t))
 		}
-		functional.Evidence = append(functional.Evidence, fmt.Sprintf("%s builds from recipe and runs its example model", t))
+		ev.tools[t] = e
 	}
-	report.Results = append(report.Results, functional)
+	ev.user, ev.userErr = f.Validate(ctx, ToolPEPA, pub.Builder, pub.Builds[ToolPEPA], "usersupplied.pepa", userModel)
+	return ev, nil
+}
 
-	// Reusable: run a model that no recipe or example bundles.
+// report derives the five badge verdicts from the evidence.
+func (ev *badgeEvidence) report() *BadgeReport {
+	perTool := func(b Badge, check func(Tool, toolEvidence) (string, bool)) BadgeResult {
+		res := BadgeResult{Badge: b, Earned: true}
+		for _, t := range Tools() {
+			line, ok := check(t, ev.tools[t])
+			res.Earned = res.Earned && ok
+			res.Evidence = append(res.Evidence, line)
+		}
+		return res
+	}
+	functional := perTool(BadgeFunctional, func(t Tool, e toolEvidence) (string, bool) {
+		if e.exampleErr != nil || e.example.ContainerOut == "" {
+			return fmt.Sprintf("%s: containerized run failed: %v", t, e.exampleErr), false
+		}
+		return fmt.Sprintf("%s builds from recipe and runs its example model", t), true
+	})
+
 	reusable := BadgeResult{Badge: BadgeReusable, Earned: true}
-	userModel := "r = 0.7;\nU = (userwork, r).U1;\nU1 = (userrest, 1.4).U;\nU\n"
-	rep, err := f.Validate(ToolPEPA, builder, builds[ToolPEPA].Image, "usersupplied.pepa", userModel)
-	if err != nil || !strings.Contains(rep.ContainerOut, "steady-state distribution") {
+	if ev.userErr != nil || !strings.Contains(ev.user.ContainerOut, "steady-state distribution") {
 		reusable.Earned = false
-		reusable.Evidence = append(reusable.Evidence, fmt.Sprintf("user-supplied model failed: %v", err))
+		reusable.Evidence = append(reusable.Evidence, fmt.Sprintf("user-supplied model failed: %v", ev.userErr))
 	} else {
 		reusable.Evidence = append(reusable.Evidence, "container solves a user-supplied model (not bundled with any recipe)")
 	}
@@ -130,65 +184,30 @@ func (f *Framework) AssessBadges(client *hub.Client) (*BadgeReport, error) {
 	if reusable.Earned {
 		reusable.Evidence = append(reusable.Evidence, "all recipes regenerate from source")
 	}
-	report.Results = append(report.Results, reusable)
 
-	// Available.
-	available := BadgeResult{Badge: BadgeAvailable, Earned: true}
-	for _, t := range Tools() {
-		if _, _, err := client.Pull(f.Collection, string(t), "latest", digests[t]); err != nil {
-			available.Earned = false
-			available.Evidence = append(available.Evidence, fmt.Sprintf("%s: pull failed: %v", t, err))
-			continue
+	available := perTool(BadgeAvailable, func(t Tool, e toolEvidence) (string, bool) {
+		if e.pullErr != nil {
+			return fmt.Sprintf("%s: pull failed: %v", t, e.pullErr), false
 		}
-		available.Evidence = append(available.Evidence, fmt.Sprintf("%s retrievable from the archive, digest verified", t))
-	}
-	report.Results = append(report.Results, available)
-
+		return fmt.Sprintf("%s retrievable from the archive, digest verified", t), true
+	})
 	// Validated: native-vs-container equality on the build host.
-	validated := BadgeResult{Badge: BadgeValidated, Earned: true}
-	for _, t := range Tools() {
-		ex := ExampleModel(t)
-		rep, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil || !rep.Match {
-			validated.Earned = false
-			validated.Evidence = append(validated.Evidence, fmt.Sprintf("%s: containerized output differs from native", t))
-			continue
+	validated := perTool(BadgeValidated, func(t Tool, e toolEvidence) (string, bool) {
+		if e.exampleErr != nil || !e.example.Match {
+			return fmt.Sprintf("%s: containerized output differs from native", t), false
 		}
-		validated.Evidence = append(validated.Evidence, fmt.Sprintf("%s: containerized output byte-identical to native", t))
-	}
-	report.Results = append(report.Results, validated)
-
+		return fmt.Sprintf("%s: containerized output byte-identical to native", t), true
+	})
 	// Reproduced: an independent environment pulls the published artifacts
 	// and obtains the same results.
-	reproduced := BadgeResult{Badge: BadgeReproduced, Earned: true}
-	independent, err := hostenv.ByName(hostenv.GCPInstance)
-	if err != nil {
-		return nil, err
-	}
-	if err := independent.InstallSingularity(); err != nil {
-		return nil, err
-	}
-	for _, t := range Tools() {
-		img, _, err := client.Pull(f.Collection, string(t), "latest", digests[t])
-		if err != nil {
-			reproduced.Earned = false
-			reproduced.Evidence = append(reproduced.Evidence, fmt.Sprintf("%s: pull on independent host failed: %v", t, err))
-			continue
+	reproduced := perTool(BadgeReproduced, func(t Tool, e toolEvidence) (string, bool) {
+		switch {
+		case e.pullErr != nil:
+			return fmt.Sprintf("%s: pull on independent host failed: %v", t, e.pullErr), false
+		case e.independentErr != nil || e.independent.ContainerOut != e.example.ContainerOut:
+			return fmt.Sprintf("%s: independent host produced different output", t), false
 		}
-		ex := ExampleModel(t)
-		repB, err := f.Validate(t, builder, builds[t].Image, ex.Name, ex.Source, ex.Args...)
-		if err != nil {
-			return nil, err
-		}
-		repI, err := f.Validate(t, independent, img, ex.Name, ex.Source, ex.Args...)
-		if err != nil || repI.ContainerOut != repB.ContainerOut {
-			reproduced.Earned = false
-			reproduced.Evidence = append(reproduced.Evidence, fmt.Sprintf("%s: independent host produced different output", t))
-			continue
-		}
-		reproduced.Evidence = append(reproduced.Evidence,
-			fmt.Sprintf("%s: %s reproduces the build host's results from pulled artifacts", t, independent.Name))
-	}
-	report.Results = append(report.Results, reproduced)
-	return report, nil
+		return fmt.Sprintf("%s: %s reproduces the build host's results from pulled artifacts", t, ev.independentHost), true
+	})
+	return &BadgeReport{Results: []BadgeResult{functional, reusable, available, validated, reproduced}}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func TestAssessBadgesAllEarned(t *testing.T) {
 	f := New()
 	ts := httptest.NewServer(hub.NewServer(hub.NewStore()).Handler())
 	defer ts.Close()
-	report, err := f.AssessBadges(hub.NewClient(ts.URL))
+	report, err := f.AssessBadges(context.Background(), hub.NewClient(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/apps"
@@ -147,6 +146,13 @@ type Framework struct {
 	// (build, push, validate runs, matrix cells). Span methods are
 	// nil-safe, so an uninstrumented framework pays nothing.
 	Obs *obs.Registry
+
+	// The shared evidence (evidence.go): run outputs by run key,
+	// native-install failures by (profile, package), and one
+	// publication per hub client.
+	runs      par.Memo[string, string]
+	installs  par.Memo[[2]string, string]
+	published par.Memo[*hub.Client, *Publication]
 }
 
 // SetObs attaches a metrics registry to the framework and its engine.
@@ -229,23 +235,32 @@ func (f *Framework) BuildAllCtx(ctx context.Context, host *hostenv.Host) (map[To
 	return out, nil
 }
 
-// PushAll pushes built images to a hub, returning digests by tool. It
-// degrades gracefully: every tool is attempted (panics included — the
-// pool supervises them), and on failure the partial digest map is
-// returned together with a *par.MultiError aggregating every per-tool
-// failure.
-func (f *Framework) PushAll(client *hub.Client, builds map[Tool]*runtime.BuildResult) (map[Tool]string, error) {
+// pushAll pushes built images to a hub, returning digests by tool and
+// each failed tool's error. It degrades gracefully: every tool is
+// attempted (a panicking push fails only its tool), none once ctx is
+// done, and any failure also comes back aggregated in a *par.MultiError.
+func (f *Framework) pushAll(ctx context.Context, client *hub.Client, builds map[Tool]*runtime.BuildResult) (map[Tool]string, map[Tool]error, error) {
 	tools := Tools()
 	perTool := make([]string, len(tools))
+	perErr := make([]error, len(tools))
 	stage := f.Obs.StartSpan("core.push_all")
 	defer stage.End()
-	err := par.ForEachOpt(len(tools), par.Options{}, func(i int) error {
+	err := par.ForEachOpt(len(tools), par.Options{}, func(i int) (err error) {
 		t := tools[i]
 		sp := stage.StartSpan("push:" + string(t))
-		defer sp.End()
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("core: pushing %s: panic: %v", t, r)
+			}
+			perErr[i] = err
+			sp.End()
+		}()
 		b, ok := builds[t]
-		if !ok {
+		switch {
+		case !ok:
 			return fmt.Errorf("core: no build for %s", t)
+		case ctx.Err() != nil:
+			return fmt.Errorf("core: pushing %s: %w", t, ctx.Err())
 		}
 		d, err := client.Push(f.Collection, b.Image)
 		if err != nil {
@@ -254,13 +269,15 @@ func (f *Framework) PushAll(client *hub.Client, builds map[Tool]*runtime.BuildRe
 		perTool[i] = d
 		return nil
 	})
-	digests := map[Tool]string{}
+	digests, errs := map[Tool]string{}, map[Tool]error{}
 	for i, t := range tools {
-		if perTool[i] != "" {
+		if perErr[i] != nil {
+			errs[t] = perErr[i]
+		} else {
 			digests[t] = perTool[i]
 		}
 	}
-	return digests, err
+	return digests, errs, err
 }
 
 // modelDir is where Validate places model files on the host, bound to
@@ -284,9 +301,11 @@ type ValidationReport struct {
 
 // Validate runs a model through a tool both natively and inside its
 // container on the same host and compares the outputs byte for byte —
-// the Fig 1 / Fig 5 validation methodology.
-func (f *Framework) Validate(t Tool, host *hostenv.Host, img *image.Image, modelName, modelSrc string, args ...string) (*ValidationReport, error) {
-	return f.ValidateWithFiles(t, host, img, modelName, map[string]string{modelName: modelSrc}, args...)
+// the Fig 1 / Fig 5 validation methodology. Both runs come from the
+// framework's shared evidence, so a run already made by another
+// experiment is read, not repeated.
+func (f *Framework) Validate(ctx context.Context, t Tool, host *hostenv.Host, build *runtime.BuildResult, modelName, modelSrc string, args ...string) (*ValidationReport, error) {
+	return f.ValidateWithFiles(ctx, t, host, build, modelName, map[string]string{modelName: modelSrc}, args...)
 }
 
 // ValidateWithFiles is Validate for tools needing several input files
@@ -294,71 +313,44 @@ func (f *Framework) Validate(t Tool, host *hostenv.Host, img *image.Image, model
 // written to the host model directory and bound to /data; mainFile names
 // the first argument; extra args that name files must use their bare file
 // names (they are rewritten per run location).
-func (f *Framework) ValidateWithFiles(t Tool, host *hostenv.Host, img *image.Image, mainFile string, files map[string]string, args ...string) (*ValidationReport, error) {
-	s, ok := specs[t]
-	if !ok {
+func (f *Framework) ValidateWithFiles(ctx context.Context, t Tool, host *hostenv.Host, build *runtime.BuildResult, mainFile string, files map[string]string, args ...string) (*ValidationReport, error) {
+	return f.validate(ctx, host, build.Image, build.Digest, runInput{tool: t, mainFile: mainFile, files: files, args: args})
+}
+
+// validate compares the native and container runs of in on host, where
+// digest is img's content digest (from its build or verified pull).
+func (f *Framework) validate(ctx context.Context, host *hostenv.Host, img *image.Image, digest string, in runInput) (*ValidationReport, error) {
+	t := in.tool
+	if _, ok := specs[t]; !ok {
 		return nil, fmt.Errorf("core: unknown tool %q", t)
 	}
-	if _, ok := files[mainFile]; !ok {
-		return nil, fmt.Errorf("core: main file %q not among provided files", mainFile)
+	if _, ok := in.files[in.mainFile]; !ok {
+		return nil, fmt.Errorf("core: main file %q not among provided files", in.mainFile)
 	}
-	if err := host.FS.MkdirAll(hostModelDir, 0o755); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	isFile := map[string]bool{}
-	for _, name := range names {
-		if err := host.FS.WriteFile(hostModelDir+"/"+name, []byte(files[name]), 0o644); err != nil {
-			return nil, err
-		}
-		isFile[name] = true
-	}
-	qualify := func(dir string) []string {
-		out := []string{dir + "/" + mainFile}
-		for _, a := range args {
-			if isFile[a] {
-				out = append(out, dir+"/"+a)
-			} else {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
-	hostPath := hostModelDir + "/" + mainFile
 	stage := f.Obs.StartSpan("core.validate:" + string(t))
 	defer stage.End()
-	nativeSpan := stage.StartSpan("native_run")
-	nativeOut, err := f.Engine.NativeRun(s.app, qualify(hostModelDir), host)
-	nativeSpan.End()
+	nativeOut, err := f.run(ctx, stage, host, nil, "", in)
 	if err != nil {
 		return nil, fmt.Errorf("core: native run of %s on %s: %w", t, host.Name, err)
 	}
-	containerSpan := stage.StartSpan("container_run")
-	run, err := f.Engine.Run(img, host, runtime.RunOptions{
-		Isolation: runtime.IsolationSingularity,
-		Args:      qualify(containerModelDir),
-		Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-	})
-	containerSpan.End()
+	containerOut, err := f.run(ctx, stage, host, img, digest, in)
 	if err != nil {
 		return nil, fmt.Errorf("core: container run of %s on %s: %w", t, host.Name, err)
 	}
 	// The only permitted difference is the model path echoed nowhere in
 	// our report formats, so outputs must be identical.
-	digest, err := img.Digest()
-	if err != nil {
-		return nil, err
-	}
 	return &ValidationReport{
-		Tool: t, Host: host.Name, ModelPath: hostPath, Args: args,
-		NativeOut: nativeOut, ContainerOut: run.Stdout,
-		Match:  nativeOut == run.Stdout,
+		Tool: t, Host: host.Name, ModelPath: hostModelDir + "/" + in.mainFile, Args: in.args,
+		NativeOut: nativeOut, ContainerOut: containerOut,
+		Match:  nativeOut == containerOut,
 		Digest: digest,
 	}, nil
+}
+
+// exampleRun is the canned example model of a tool as a run input.
+func exampleRun(t Tool) runInput {
+	ex := ExampleModel(t)
+	return runInput{tool: t, mainFile: ex.Name, files: map[string]string{ex.Name: ex.Source}, args: ex.Args}
 }
 
 // FailureClass tags a failed matrix cell with the retry taxonomy of
@@ -427,7 +419,9 @@ func failCell(entry MatrixEntry, client *hub.Client, op string, err error) Matri
 // the build host, push them to a hub, then on every profile pull (with
 // digest verification) and run the canned example model, comparing output
 // against the build host's run. It also records whether a native install
-// would have succeeded on each profile.
+// would have succeeded on each profile. The build and push are the
+// framework's publication for client, and every run and native-install
+// verdict comes from the shared evidence.
 //
 // The matrix degrades gracefully under partial failure: a failing push,
 // pull, run, or even a panicking task yields a classified MatrixEntry
@@ -444,67 +438,12 @@ func (f *Framework) ValidationMatrix(client *hub.Client) ([]MatrixEntry, error) 
 // classified FailureCanceled, and the computed rows are returned as the
 // Partial of a *runctx.ErrCanceled.
 func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client) ([]MatrixEntry, error) {
-	builder, err := hostenv.ByName(hostenv.BuildHost)
-	if err != nil {
-		return nil, err
-	}
-	if err := builder.InstallSingularity(); err != nil {
-		return nil, err
-	}
-	builds, err := f.BuildAllCtx(ctx, builder)
-	if err != nil {
+	pub, err := f.Publish(ctx, client)
+	if pub == nil {
 		return nil, err
 	}
 	matrix := f.Obs.StartSpan("core.validation_matrix")
 	defer matrix.End()
-	// Push serially so the hub attempt log stays in tool order; failures
-	// are recorded per tool instead of aborting.
-	digests := map[Tool]string{}
-	toolErr := map[Tool]error{}
-	pushSpan := matrix.StartSpan("push")
-	for _, t := range Tools() {
-		if cerr := ctx.Err(); cerr != nil {
-			toolErr[t] = fmt.Errorf("core: pushing %s: %w", t, cerr)
-			continue
-		}
-		d, err := client.Push(f.Collection, builds[t].Image)
-		if err != nil {
-			toolErr[t] = fmt.Errorf("core: pushing %s: %w", t, err)
-			continue
-		}
-		digests[t] = d
-	}
-	pushSpan.End()
-	// Reference outputs from the build host.
-	refSpan := matrix.StartSpan("reference_runs")
-	reference := map[Tool]string{}
-	if err := builder.FS.MkdirAll(hostModelDir, 0o755); err != nil {
-		return nil, err
-	}
-	for _, t := range Tools() {
-		if toolErr[t] != nil {
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			toolErr[t] = fmt.Errorf("core: reference run of %s: %w", t, cerr)
-			continue
-		}
-		ex := ExampleModel(t)
-		if err := builder.FS.WriteFile(hostModelDir+"/"+ex.Name, []byte(ex.Source), 0o644); err != nil {
-			return nil, err
-		}
-		run, err := f.Engine.Run(builds[t].Image, builder, runtime.RunOptions{
-			Isolation: runtime.IsolationSingularity,
-			Args:      append([]string{containerModelDir + "/" + ex.Name}, ex.Args...),
-			Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-		})
-		if err != nil {
-			toolErr[t] = fmt.Errorf("core: reference run of %s: %w", t, err)
-			continue
-		}
-		reference[t] = run.Stdout
-	}
-	refSpan.End()
 	// The host profiles are independent (each gets a fresh filesystem and
 	// its own pulls over the concurrency-safe HTTP client), so the matrix
 	// rows compute in parallel — one worker per host, rows assembled in
@@ -512,23 +451,17 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 	// failure lands in its cell.
 	names := hostenv.Names()
 	perHost, err := par.MapOpt(len(names), par.Options{Ctx: ctx}, func(h int) ([]MatrixEntry, error) {
-		name := names[h]
 		rows := make([]MatrixEntry, 0, len(Tools()))
-		host, herr := hostenv.ByName(name)
-		if herr == nil {
-			if ierr := host.InstallSingularity(); ierr != nil {
-				herr = fmt.Errorf("core: installing runtime on %s: %w", name, ierr)
-			}
-		}
+		host, herr := readyHost(names[h])
 		for _, t := range Tools() {
-			entry := MatrixEntry{Tool: t, Host: name}
+			entry := MatrixEntry{Tool: t, Host: names[h]}
 			switch {
 			case herr != nil:
 				rows = append(rows, failCell(entry, nil, "", herr))
-			case toolErr[t] != nil:
-				rows = append(rows, failCell(entry, nil, "", toolErr[t]))
+			case pub.PushErr[t] != nil:
+				rows = append(rows, failCell(entry, nil, "", pub.PushErr[t]))
 			default:
-				rows = append(rows, f.matrixCell(ctx, matrix, client, host, name, t, digests[t], reference[t]))
+				rows = append(rows, f.matrixCell(ctx, matrix, client, pub, host, t))
 			}
 		}
 		return rows, nil
@@ -549,12 +482,14 @@ func (f *Framework) ValidationMatrixCtx(ctx context.Context, client *hub.Client)
 	return out, nil
 }
 
-// matrixCell computes one (host, tool) cell. It is panic-supervised:
-// a panicking pull or run yields a deterministic-classified failure
-// entry instead of killing the matrix worker.
-func (f *Framework) matrixCell(ctx context.Context, parent *obs.Span, client *hub.Client, host *hostenv.Host, hostName string, t Tool, wantDigest, reference string) (entry MatrixEntry) {
-	entry = MatrixEntry{Tool: t, Host: hostName}
-	sp := parent.StartSpan(fmt.Sprintf("cell:%s/%s", hostName, t))
+// matrixCell computes one (host, tool) cell. Its reference is the
+// example's container run on the build host — one shared run, which the
+// build-host row's cells also are. It is panic-supervised: a panicking
+// pull or run yields a deterministic-classified failure entry instead
+// of killing the matrix worker.
+func (f *Framework) matrixCell(ctx context.Context, parent *obs.Span, client *hub.Client, pub *Publication, host *hostenv.Host, t Tool) (entry MatrixEntry) {
+	entry = MatrixEntry{Tool: t, Host: host.Name}
+	sp := parent.StartSpan(fmt.Sprintf("cell:%s/%s", host.Name, t))
 	defer sp.End()
 	defer func() {
 		if r := recover(); r != nil {
@@ -563,39 +498,44 @@ func (f *Framework) matrixCell(ctx context.Context, parent *obs.Span, client *hu
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		return failCell(entry, nil, "", fmt.Errorf("core: cell %s/%s: %w", hostName, t, cerr))
+		return failCell(entry, nil, "", fmt.Errorf("core: cell %s/%s: %w", host.Name, t, cerr))
 	}
-	pkg, _ := t.Package()
-	probe := host.Clone()
-	if nerr := probe.NativeInstall(pkg); nerr != nil {
+	b := pub.Builds[t]
+	reference, err := f.run(ctx, nil, pub.Builder, b.Image, b.Digest, exampleRun(t))
+	if err != nil {
+		return failCell(entry, nil, "", fmt.Errorf("core: reference run of %s: %w", t, err))
+	}
+	if nerr := f.NativeInstall(ctx, host.Name, t); nerr != nil {
 		entry.NativeErr = nerr.Error()
 	} else {
 		entry.NativeInstallOK = true
 	}
 	pullOp := fmt.Sprintf("pull %s/%s:latest", f.Collection, t)
-	img, gotDigest, err := client.Pull(f.Collection, string(t), "latest", wantDigest)
+	img, gotDigest, err := client.Pull(f.Collection, string(t), "latest", pub.Digests[t])
 	if err != nil {
-		return failCell(entry, client, pullOp, fmt.Errorf("core: pulling %s on %s: %w", t, hostName, err))
+		return failCell(entry, client, pullOp, fmt.Errorf("core: pulling %s on %s: %w", t, host.Name, err))
 	}
 	entry.Digest = gotDigest
-	entry.DigestMatch = gotDigest == wantDigest
-	ex := ExampleModel(t)
-	if err := host.FS.MkdirAll(hostModelDir, 0o755); err != nil {
-		return failCell(entry, nil, "", err)
-	}
-	if err := host.FS.WriteFile(hostModelDir+"/"+ex.Name, []byte(ex.Source), 0o644); err != nil {
-		return failCell(entry, nil, "", err)
-	}
-	run, err := f.Engine.Run(img, host, runtime.RunOptions{
-		Isolation: runtime.IsolationSingularity,
-		Args:      append([]string{containerModelDir + "/" + ex.Name}, ex.Args...),
-		Binds:     []runtime.Bind{{HostPath: hostModelDir, ContainerPath: containerModelDir}},
-	})
+	entry.DigestMatch = gotDigest == pub.Digests[t]
+	out, err := f.run(ctx, nil, host, img, gotDigest, exampleRun(t))
 	if err != nil {
-		return failCell(entry, nil, "", fmt.Errorf("core: running %s on %s: %w", t, hostName, err))
+		return failCell(entry, nil, "", fmt.Errorf("core: running %s on %s: %w", t, host.Name, err))
 	}
-	entry.OutputMatch = run.Stdout == reference
+	entry.OutputMatch = out == reference
 	return entry
+}
+
+// readyHost returns a fresh instance of the named profile with the
+// container runtime installed.
+func readyHost(name string) (*hostenv.Host, error) {
+	host, err := hostenv.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := host.InstallSingularity(); err != nil {
+		return nil, fmt.Errorf("core: installing runtime on %s: %w", name, err)
+	}
+	return host, nil
 }
 
 // FormatMatrix renders the validation matrix as a text table. Cells

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -90,7 +91,7 @@ func TestEdinburghExampleModelsValidateInContainer(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rep, err := f.Validate(ToolPEPA, host, build.Image, name, cases[name])
+		rep, err := f.Validate(context.Background(), ToolPEPA, host, build, name, cases[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +111,7 @@ func TestValidatePEPANativeVsContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Validate(ToolPEPA, host, build.Image, "simple.pepa", SimplePEPAModel)
+	rep, err := f.Validate(context.Background(), ToolPEPA, host, build, "simple.pepa", SimplePEPAModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestValidateAllToolsOnBuildHost(t *testing.T) {
 	}
 	for _, tool := range Tools() {
 		ex := ExampleModel(tool)
-		rep, err := f.Validate(tool, host, builds[tool].Image, ex.Name, ex.Source, ex.Args...)
+		rep, err := f.Validate(context.Background(), tool, host, builds[tool], ex.Name, ex.Source, ex.Args...)
 		if err != nil {
 			t.Fatalf("%s: %v", tool, err)
 		}
@@ -154,7 +155,7 @@ func TestValidateCDFArguments(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := "r = 0.5;\nP0 = (step, r).P1;\nP1 = (step, r).PDone;\nPDone = (done, 0.000001).PDone;\nP0\n"
-	rep, err := f.Validate(ToolPEPA, host, build.Image, "chain.pepa", src, "cdf", "PDone", "10", "5")
+	rep, err := f.Validate(context.Background(), ToolPEPA, host, build, "chain.pepa", src, "cdf", "PDone", "10", "5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestScalabilitySweepInContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := ExampleModel(ToolGPA)
-	rep, err := f.Validate(ToolGPA, host, build.Image, ex.Name, ex.Source,
+	rep, err := f.Validate(context.Background(), ToolGPA, host, build, ex.Name, ex.Source,
 		"sweep", "Servers", "Server", "5,10,40,80", "300", "request")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestFutureWorkModelCheckerContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	props := "S >= 0.8 [ \"Proc\" ]\nT >= 2 [ serve ]\n"
-	rep, err := f.ValidateWithFiles(ToolMC, host, build.Image, "simple.pepa", map[string]string{
+	rep, err := f.ValidateWithFiles(context.Background(), ToolMC, host, build, "simple.pepa", map[string]string{
 		"simple.pepa": SimplePEPAModel,
 		"props.csl":   props,
 	}, "props.csl")
@@ -262,7 +263,7 @@ func TestContainerRunsOnHostWhereNativeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRep, err := f.Validate(ToolPEPA, builder, build.Image, "simple.pepa", SimplePEPAModel)
+	refRep, err := f.Validate(context.Background(), ToolPEPA, builder, build, "simple.pepa", SimplePEPAModel)
 	if err != nil {
 		t.Fatal(err)
 	}

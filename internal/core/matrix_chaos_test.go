@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -135,7 +136,7 @@ func TestPushAllPartialFailure(t *testing.T) {
 	delete(builds, ToolGPA)
 	ts := httptest.NewServer(hub.NewServer(hub.NewStore()).Handler())
 	defer ts.Close()
-	digests, err := f.PushAll(hub.NewClient(ts.URL), builds)
+	digests, _, err := f.pushAll(context.Background(), hub.NewClient(ts.URL), builds)
 	var m *par.MultiError
 	if !errors.As(err, &m) || len(m.Errs) != 1 {
 		t.Fatalf("err = %v, want MultiError with 1 failure", err)

@@ -102,101 +102,97 @@ const (
 	GCPInstance = "gcp-n1-standard-8"
 )
 
+// profile is the static description of one host profile; host builds a
+// fresh instance of it. Keeping the descriptions static lets ByName and
+// Names answer without constructing every profile's repository.
+type profile struct {
+	name, os, kernel string
+	cpus, memGB      int
+	cloud            bool
+	repo             string                   // distro repository name
+	remove           func(*pkgmgr.Repository) // versions the distro no longer ships
+}
+
+// host constructs a fresh Host for the profile: its own repository carve
+// and a new base filesystem.
+func (p profile) host() *Host {
+	return &Host{
+		Name: p.name, OS: p.os, Kernel: p.kernel,
+		CPUs: p.cpus, MemGB: p.memGB, Cloud: p.cloud, User: "modeler",
+		Repo: carve(p.repo, p.remove),
+		FS:   baseFS(p.os),
+	}
+}
+
+// removeEL7 drops what EL7 never shipped: JDK 11, Eclipse 4.9 and
+// vis-toolkit 3.
+func removeEL7(r *pkgmgr.Repository) {
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+	r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+}
+
+// removeBionic drops what Ubuntu 18.04 (and Mint 19.1, which tracks it)
+// no longer ships: the legacy JDKs, old Eclipse lines, and vis-toolkit
+// 2.x — the skew that breaks native installs.
+func removeBionic(r *pkgmgr.Repository) {
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+	r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
+	r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
+	r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
+}
+
+// profiles lists the seven host profiles of the validation matrix, build
+// host first.
+var profiles = []profile{
+	{name: BuildHost, os: "CentOS Linux 7.4", kernel: "3.10.0-693", cpus: 20, memGB: 256,
+		repo: "centos-7.4", remove: removeEL7},
+	{name: CentOS76, os: "CentOS Linux 7.6", kernel: "3.10.0-957", cpus: 8, memGB: 64,
+		repo: "centos-7.6", remove: removeEL7},
+	{name: Ubuntu1804, os: "Ubuntu 18.04 LTS Bionic Beaver", kernel: "4.15.0", cpus: 8, memGB: 32,
+		repo: "ubuntu-18.04", remove: removeBionic},
+	{name: Ubuntu1604, os: "Ubuntu 16.04 LTS Xenial Xerus", kernel: "4.4.0", cpus: 4, memGB: 16,
+		repo: "ubuntu-16.04", remove: func(r *pkgmgr.Repository) {
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+			r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+		}},
+	{name: Mint191, os: "Linux Mint 19.1 Tessa", kernel: "4.15.0", cpus: 4, memGB: 16,
+		repo: "mint-19.1", remove: removeBionic},
+	{name: Debian96, os: "Debian 9.6 Stretch", kernel: "4.9.0", cpus: 4, memGB: 16,
+		repo: "debian-9.6", remove: func(r *pkgmgr.Repository) {
+			// Stretch ships only JDK 8 and keeps Eclipse Luna.
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
+			r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
+			r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
+			r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
+		}},
+	{name: GCPInstance, os: "CentOS Linux 7.6", kernel: "3.10.0-957", cpus: 8, memGB: 30, cloud: true,
+		repo: "gcp-centos-7.6", remove: removeEL7},
+}
+
 // Profiles constructs the seven host profiles of the validation matrix.
 // The returned slice is ordered with the build host first.
 func Profiles() []*Host {
-	hosts := []*Host{
-		{
-			Name: BuildHost, OS: "CentOS Linux 7.4", Kernel: "3.10.0-693",
-			CPUs: 20, MemGB: 256, User: "modeler",
-			Repo: carve("centos-7.4", func(r *pkgmgr.Repository) {
-				// EL7 never shipped JDK 11 or Eclipse 4.9.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: CentOS76, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957",
-			CPUs: 8, MemGB: 64, User: "modeler",
-			Repo: carve("centos-7.6", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: Ubuntu1804, OS: "Ubuntu 18.04 LTS Bionic Beaver", Kernel: "4.15.0",
-			CPUs: 8, MemGB: 32, User: "modeler",
-			Repo: carve("ubuntu-18.04", func(r *pkgmgr.Repository) {
-				// Bionic dropped the legacy JDKs, old Eclipse lines, and
-				// vis-toolkit 2.x — the skew that breaks native installs.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
-			}),
-		},
-		{
-			Name: Ubuntu1604, OS: "Ubuntu 16.04 LTS Xenial Xerus", Kernel: "4.4.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("ubuntu-16.04", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: Mint191, OS: "Linux Mint 19.1 Tessa", Kernel: "4.15.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("mint-19.1", func(r *pkgmgr.Repository) {
-				// Mint 19.1 tracks Ubuntu 18.04.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 2, 0))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 4, 2))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(2, 3, 0))
-			}),
-		},
-		{
-			Name: Debian96, OS: "Debian 9.6 Stretch", Kernel: "4.9.0",
-			CPUs: 4, MemGB: 16, User: "modeler",
-			Repo: carve("debian-9.6", func(r *pkgmgr.Repository) {
-				// Stretch ships only JDK 8 and keeps Eclipse Luna.
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(6, 0, 45))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(7, 0, 80))
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(3, 6, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-		{
-			Name: GCPInstance, OS: "CentOS Linux 7.6", Kernel: "3.10.0-957",
-			CPUs: 8, MemGB: 30, Cloud: true, User: "modeler",
-			Repo: carve("gcp-centos-7.6", func(r *pkgmgr.Repository) {
-				r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-				r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-				r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-			}),
-		},
-	}
-	for _, h := range hosts {
-		h.FS = baseFS(h.OS)
+	hosts := make([]*Host, len(profiles))
+	for i, p := range profiles {
+		hosts[i] = p.host()
 	}
 	return hosts
 }
 
-// ByName returns the named profile (fresh instance) or an error.
+// ByName returns a fresh instance of the named profile, constructing only
+// that profile, or an error.
 func ByName(name string) (*Host, error) {
-	for _, h := range Profiles() {
-		if h.Name == name {
-			return h, nil
+	for _, p := range profiles {
+		if p.name == name {
+			return p.host(), nil
 		}
 	}
 	return nil, fmt.Errorf("hostenv: unknown host profile %q", name)
@@ -204,10 +200,9 @@ func ByName(name string) (*Host, error) {
 
 // Names lists all profile names in matrix order.
 func Names() []string {
-	hs := Profiles()
-	out := make([]string, len(hs))
-	for i, h := range hs {
-		out[i] = h.Name
+	out := make([]string, len(profiles))
+	for i, p := range profiles {
+		out[i] = p.name
 	}
 	return out
 }
@@ -219,11 +214,7 @@ func BaseImages() map[string]struct {
 	FS   func() *vfs.FS
 	Repo *pkgmgr.Repository
 } {
-	centosRepo := carve("centos-7.4-base", func(r *pkgmgr.Repository) {
-		r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
-		r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))
-		r.RemoveVersion(pkgmgr.PkgVisToolkit, pkgmgr.V(3, 0, 0))
-	})
+	centosRepo := carve("centos-7.4-base", removeEL7)
 	ubuntuRepo := carve("ubuntu-16.04-base", func(r *pkgmgr.Repository) {
 		r.RemoveVersion(pkgmgr.PkgJDK, pkgmgr.V(11, 0, 2))
 		r.RemoveVersion(pkgmgr.PkgEclipse, pkgmgr.V(4, 9, 0))

@@ -1,6 +1,7 @@
 package hostenv
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,6 +40,30 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("amiga-os"); err == nil {
 		t.Error("unknown profile accepted")
+	}
+}
+
+// TestByNameMatchesProfiles: ByName builds only the requested profile,
+// and the instance it returns equals the matching Profiles() entry —
+// hardware, repository contents and filesystem — for every name, which
+// Names lists in Profiles() order.
+func TestByNameMatchesProfiles(t *testing.T) {
+	all := Profiles()
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() = %d names, Profiles() = %d hosts", len(names), len(all))
+	}
+	for i, want := range all {
+		if names[i] != want.Name {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], want.Name)
+		}
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from its Profiles() entry", want.Name)
+		}
 	}
 }
 

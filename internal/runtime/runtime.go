@@ -27,6 +27,7 @@ import (
 	"repro/internal/hostenv"
 	"repro/internal/image"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/pkgmgr"
 	"repro/internal/recipe"
 	"repro/internal/runctx"
@@ -93,9 +94,8 @@ type Engine struct {
 	// content-addressed layer and caches its outcome keyed on the stage
 	// inputs plus the parent layer-chain digest, so a rebuild re-executes
 	// only the first changed stage and everything after it.
-	stageMu sync.Mutex
-	stages  map[string]*stageRec
-	layers  *LayerStore
+	stages par.Memo[string, *stageRec]
+	layers *LayerStore
 	// StageCacheDisabled turns stage caching and replay off (cold-build
 	// benchmarks); builds still emit layered images.
 	StageCacheDisabled bool
@@ -112,7 +112,6 @@ func NewEngine() *Engine {
 		Apps:    map[string]App{},
 		Version: "2.5.2", // mirrors the Singularity version used in the paper
 		cache:   map[string]*BuildResult{},
-		stages:  map[string]*stageRec{},
 		layers:  NewLayerStore(),
 	}
 }
@@ -225,33 +224,34 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 	chain := ""
 	var layers []*image.Layer
 	executed, replayed := 0, 0
-	addLayer := func(rec *stageRec) {
+	addLayer := func(rec *stageRec, wasReplayed bool) {
 		layers = append(layers, rec.layer)
 		chain = chainDigest(chain, rec.layer.Digest())
+		if wasReplayed {
+			replayed++
+			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "replayed"))
+		} else {
+			executed++
+			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "executed"))
+		}
 	}
 
 	// Stage: base bootstrap.
 	{
-		key := stageKey("base", chain, rcp.From)
-		rec, ok := e.stageLookup(key)
-		if ok {
-			replayed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "replayed"))
-		} else {
-			rec = &stageRec{}
+		rec, wasReplayed, err := e.stage(stageKey("base", chain, rcp.From), func() (*stageRec, error) {
 			layer, err := image.NewLayer(vfs.Diff(fs, base.FS()))
 			if err != nil {
 				return nil, err
 			}
-			rec.layer = e.layers.Put(layer)
-			e.stageStore(key, rec)
-			executed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "executed"))
+			return &stageRec{layer: e.layers.Put(layer)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if err := rec.layer.Apply(fs); err != nil {
 			return nil, err
 		}
-		addLayer(rec)
+		addLayer(rec, wasReplayed)
 	}
 
 	// Stage: %files, copied from the build context. The key includes a
@@ -269,15 +269,7 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 			}
 			inputs = append(inputs, fp.Src, fp.Dst, sub)
 		}
-		key := stageKey("files", chain, inputs...)
-		rec, ok := e.stageLookup(key)
-		if ok {
-			if err := rec.layer.Apply(fs); err != nil {
-				return nil, err
-			}
-			replayed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "replayed"))
-		} else {
+		rec, wasReplayed, err := e.stage(stageKey("files", chain, inputs...), func() (*stageRec, error) {
 			snap := fs.Clone()
 			for _, fp := range rcp.Files {
 				if err := ctx.FS.CopyInto(fs, fp.Src, fp.Dst); err != nil {
@@ -288,12 +280,17 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 			if err != nil {
 				return nil, err
 			}
-			rec = &stageRec{layer: e.layers.Put(layer)}
-			e.stageStore(key, rec)
-			executed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "executed"))
+			return &stageRec{layer: e.layers.Put(layer)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		addLayer(rec)
+		if wasReplayed {
+			if err := rec.layer.Apply(fs); err != nil {
+				return nil, err
+			}
+		}
+		addLayer(rec, wasReplayed)
 	}
 	if err := canceled(1); err != nil {
 		return nil, err
@@ -313,17 +310,7 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 			continue
 		}
 		key := stageKey("post", chain, script, hashSession(env.Vars, env.Cwd()))
-		rec, ok := e.stageLookup(key)
-		if ok {
-			if err := rec.layer.Apply(fs); err != nil {
-				return nil, err
-			}
-			env.Vars = copyVars(rec.vars)
-			env.SetCwd(rec.cwd)
-			env.Stdout.WriteString(rec.output)
-			replayed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "replayed"))
-		} else {
+		rec, wasReplayed, err := e.stage(key, func() (*stageRec, error) {
 			snap := fs.Clone()
 			outBefore := env.Stdout.Len()
 			if err := env.Run(script); err != nil {
@@ -333,17 +320,25 @@ func (e *Engine) BuildCtx(cctx context.Context, rcp *recipe.Recipe, host *hosten
 			if err != nil {
 				return nil, err
 			}
-			rec = &stageRec{
+			return &stageRec{
 				layer:  e.layers.Put(layer),
 				output: env.Stdout.String()[outBefore:],
 				vars:   copyVars(env.Vars),
 				cwd:    env.Cwd(),
-			}
-			e.stageStore(key, rec)
-			executed++
-			e.Obs.Inc("runtime_build_stages_total", obs.L("outcome", "executed"))
+			}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		addLayer(rec)
+		if wasReplayed {
+			if err := rec.layer.Apply(fs); err != nil {
+				return nil, err
+			}
+			env.Vars = copyVars(rec.vars)
+			env.SetCwd(rec.cwd)
+			env.Stdout.WriteString(rec.output)
+		}
+		addLayer(rec, wasReplayed)
 	}
 
 	img := &image.Image{

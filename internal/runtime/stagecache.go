@@ -9,6 +9,7 @@
 package runtime
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -135,24 +136,21 @@ func copyVars(m map[string]string) map[string]string {
 	return out
 }
 
-// stageLookup consults the stage cache (nil-safe, honoring
-// StageCacheDisabled).
-func (e *Engine) stageLookup(key string) (*stageRec, bool) {
-	if e.StageCacheDisabled || e.stages == nil {
-		return nil, false
+// stage runs one build stage through the stage cache, single-flight:
+// the first build to need key executes exec and caches the record it
+// returns; concurrent and later builds wait for that execution and
+// replay its record (wasReplayed). A failed execution is not cached, so
+// the next build executes the stage itself. With the stage cache off
+// every call executes.
+func (e *Engine) stage(key string, exec func() (*stageRec, error)) (rec *stageRec, wasReplayed bool, err error) {
+	if e.StageCacheDisabled {
+		rec, err = exec()
+		return rec, false, err
 	}
-	e.stageMu.Lock()
-	defer e.stageMu.Unlock()
-	rec, ok := e.stages[key]
-	return rec, ok
-}
-
-// stageStore records a stage outcome (no-op when the stage cache is off).
-func (e *Engine) stageStore(key string, rec *stageRec) {
-	if e.StageCacheDisabled || e.stages == nil {
-		return
-	}
-	e.stageMu.Lock()
-	defer e.stageMu.Unlock()
-	e.stages[key] = rec
+	wasReplayed = true
+	rec, err = e.stages.Do(context.Background(), key, func() (*stageRec, error) {
+		wasReplayed = false
+		return exec()
+	})
+	return rec, wasReplayed, err
 }
